@@ -199,7 +199,7 @@ void BM_LogstoreSpaceAmp(benchmark::State& state) {
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
 
     state.PauseTiming();
-    uint64_t live = engine.cache().log_index().live_bytes();
+    uint64_t live = engine.log_index()->live_bytes();
     uint64_t hot = disk.log().retained_bytes();
     uint64_t cold = disk.log().cold_tier().total_bytes();
     space_amp = live == 0 ? 0.0

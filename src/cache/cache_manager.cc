@@ -28,20 +28,20 @@ std::unique_ptr<WriteGraph> MakeGraph(GraphKind kind) {
 
 CacheManager::CacheManager(SimulatedDisk* disk, LogManager* log,
                            GraphKind graph_kind, FlushPolicy flush_policy,
-                           bool log_installs, StorageBackend backend)
+                           bool log_installs,
+                           std::unique_ptr<InstallTarget> target)
     : disk_(disk),
       log_(log),
       graph_(MakeGraph(graph_kind)),
       flush_policy_(flush_policy),
       log_installs_(log_installs),
-      backend_(backend) {
+      target_(std::move(target)) {
   MetricsRegistry& reg = MetricsRegistry::Global();
   metrics_.purges = reg.GetCounter(metric::kCmPurges);
   metrics_.nodes_installed = reg.GetCounter(metric::kCmNodesInstalled);
   metrics_.ops_installed = reg.GetCounter(metric::kCmOpsInstalled);
   metrics_.identity_writes = reg.GetCounter(metric::kCmIdentityWrites);
   metrics_.identity_bytes = reg.GetCounter(metric::kCmIdentityBytes);
-  metrics_.flush_txns = reg.GetCounter(metric::kCmFlushTxns);
   metrics_.evictions = reg.GetCounter(metric::kCmEvictions);
   metrics_.checkpoints = reg.GetCounter(metric::kCmCheckpoints);
   metrics_.budget_installs = reg.GetCounter(metric::kCmBudgetInstalls);
@@ -52,9 +52,6 @@ CacheManager::CacheManager(SimulatedDisk* disk, LogManager* log,
   metrics_.graph_batches = reg.GetCounter(metric::kCmGraphBatches);
   metrics_.graph_batched_ops = reg.GetCounter(metric::kCmGraphBatchedOps);
   metrics_.flush_set_size = reg.GetHistogram(metric::kCmFlushSetSize);
-  metrics_.logstore_reads_log = reg.GetCounter(metric::kLogstoreReadsLog);
-  metrics_.logstore_index_ckpts =
-      reg.GetCounter(metric::kLogstoreIndexCheckpoints);
   if (flush_policy_ == FlushPolicy::kIdentityWrites &&
       graph_kind == GraphKind::kW) {
     // Identity writes cannot break W's flush sets apart: a blind write
@@ -64,88 +61,42 @@ CacheManager::CacheManager(SimulatedDisk* disk, LogManager* log,
     // Fall back to the native atomic flush.
     flush_policy_ = FlushPolicy::kNativeAtomic;
   }
-  disk_->store().set_shadow_mode(flush_policy_ == FlushPolicy::kShadow);
-}
-
-void CacheManager::set_fail_point(FailPoint fp) {
-  FaultInjector& inj = disk_->fault_injector();
-  switch (fp) {
-    case FailPoint::kNone:
-      inj.Disarm(fault::kCmAfterWalForce);
-      inj.Disarm(fault::kCmAfterFlushTxnCommit);
-      inj.Disarm(fault::kCmAfterFirstFlushTxnWrite);
-      break;
-    case FailPoint::kAfterFlushTxnCommit:
-      inj.Arm(fault::kCmAfterFlushTxnCommit, FaultSpec::CrashOnce());
-      break;
-    case FailPoint::kAfterFirstFlushTxnWrite:
-      inj.Arm(fault::kCmAfterFirstFlushTxnWrite, FaultSpec::CrashOnce());
-      break;
-    case FailPoint::kAfterWalForce:
-      inj.Arm(fault::kCmAfterWalForce, FaultSpec::CrashOnce());
-      break;
+  if (target_ == nullptr) {
+    target_ = std::make_unique<StoreTarget>(disk_, log_, flush_policy_);
   }
 }
 
 Status CacheManager::GetValue(ObjectId id, ObjectValue* out,
                               int io_budget) {
   CachedObject* obj = table_.Find(id);
-  if (obj != nullptr) {
-    if (!obj->exists) return Status::NotFound("object deleted");
+  if (obj == nullptr) {
+    LOGLOG_RETURN_IF_ERROR(FaultIn(id, io_budget, &obj));
+  } else if (!obj->exists) {
+    return Status::NotFound("object deleted");
+  } else {
     obj->last_access = ++access_clock_;
-    *out = obj->value;
-    return Status::OK();
   }
-  if (backend_ == StorageBackend::kLogStore) {
-    CachedObject* faulted = nullptr;
-    LOGLOG_RETURN_IF_ERROR(FaultInFromLog(id, io_budget, &faulted));
-    *out = faulted->value;
-    return Status::OK();
-  }
-  StoredObject stored;
-  LOGLOG_RETURN_IF_ERROR(RetryTransientIo(
-      io_budget, &disk_->stats().io_retries,
-      [&] { return disk_->store().Read(id, &stored); }));
-  CachedObject& entry = table_.GetOrCreate(id);
-  entry.value = stored.value;
-  entry.vsi = stored.vsi;
-  entry.rsi = kInvalidLsn;
-  entry.dirty = false;
-  entry.exists = true;
-  entry.last_access = ++access_clock_;
-  *out = entry.value;
+  *out = obj->value;
   return Status::OK();
 }
 
-Status CacheManager::FaultInFromLog(ObjectId id, int io_budget,
-                                    CachedObject** out) {
-  IndexCheckpointEntry entry;
-  if (!index_.Lookup(id, &entry)) {
-    // The index maps every existing object; a miss IS nonexistence (the
-    // StableStore is never consulted under kLogStore).
-    return Status::NotFound("object not in log index");
-  }
-  std::vector<uint8_t> frame;
-  LOGLOG_RETURN_IF_ERROR(RetryTransientIo(
-      io_budget, &disk_->stats().io_retries, [&] {
-        return disk_->log().ReadStable(entry.offset, entry.size, &frame);
-      }));
-  Slice cursor(frame);
-  LogRecord rec;
-  LOGLOG_RETURN_IF_ERROR(ReadFramedRecord(&cursor, &rec));
-  if (rec.lsn != entry.lsn || !IsFullImageOp(rec.op) ||
-      rec.op.op_class == OpClass::kDelete || rec.op.writes.size() != 1 ||
-      rec.op.writes[0] != id) {
-    return Status::Corruption("log index entry points at a non-image record");
-  }
-  metrics_.logstore_reads_log->Inc();
+Status CacheManager::Fetch(ObjectId id, CachedObject** out) {
+  *out = table_.Find(id);
+  if (*out != nullptr) return Status::OK();
+  return FaultIn(id, kMaxIoRetries, out);
+}
+
+Status CacheManager::FaultIn(ObjectId id, int io_budget, CachedObject** out) {
+  StoredObject stored;
+  LOGLOG_RETURN_IF_ERROR(target_->Load(id, io_budget, &stored));
   CachedObject& obj = table_.GetOrCreate(id);
-  obj.value = std::move(rec.op.params);
-  obj.vsi = entry.lsn;
+  obj.value = std::move(stored.value);
+  obj.vsi = stored.vsi;
   obj.rsi = kInvalidLsn;
   obj.dirty = false;
   obj.exists = true;
   obj.last_access = ++access_clock_;
+  // An installed version is a full image by construction.
   obj.last_full_image = true;
   *out = &obj;
   return Status::OK();
@@ -153,22 +104,12 @@ Status CacheManager::FaultInFromLog(ObjectId id, int io_budget,
 
 bool CacheManager::ObjectExists(ObjectId id) {
   const CachedObject* obj = table_.Find(id);
-  if (obj != nullptr) return obj->exists;
-  if (backend_ == StorageBackend::kLogStore) {
-    IndexCheckpointEntry entry;
-    return index_.Lookup(id, &entry);
-  }
-  return disk_->store().Exists(id);
+  return obj != nullptr ? obj->exists : target_->Exists(id);
 }
 
 Lsn CacheManager::CurrentVsi(ObjectId id) const {
   const CachedObject* obj = table_.Find(id);
-  if (obj != nullptr) return obj->vsi;
-  if (backend_ == StorageBackend::kLogStore) {
-    IndexCheckpointEntry entry;
-    return index_.Lookup(id, &entry) ? entry.lsn : kInvalidLsn;
-  }
-  return disk_->store().StableVsi(id);
+  return obj != nullptr ? obj->vsi : target_->StableVsi(id);
 }
 
 Lsn CacheManager::CurrentRsi(ObjectId id) const {
@@ -203,15 +144,11 @@ Status CacheManager::ApplyResults(const OperationDesc& op, Lsn lsn,
       hot_.insert(op.writes[i]);
     }
   }
-  if (graph_batching_) {
-    // rW maintenance (union-find merges, edge insertion, SCC collapse)
-    // is amortized across a batch: insertions queue here and drain in
-    // LSN order the moment anything reads the graph, so observable state
-    // never differs from per-append insertion.
-    pending_graph_ops_.push_back(PendingOp::FromDesc(lsn, op));
-  } else {
-    graph_->AddOperation(PendingOp::FromDesc(lsn, op));
-  }
+  // rW maintenance (union-find merges, edge insertion, SCC collapse) is
+  // amortized across a batch: insertions queue here and drain in LSN
+  // order the moment anything reads the graph, so observable state never
+  // differs from per-append insertion.
+  pending_graph_ops_.push_back(PendingOp::FromDesc(lsn, op));
   return Status::OK();
 }
 
@@ -250,26 +187,44 @@ Status CacheManager::InjectIdentityWrite(ObjectId id) {
   if (obj == nullptr) {
     return Status::FailedPrecondition("identity write of uncached object");
   }
+  // Enter the graph exactly like a normal blind write of `id`; the value
+  // is unchanged.
+  PendingOp blind;
+  blind.lsn = LogIdentityWrite(id, obj);
+  blind.writes = {id};
+  blind.blind = {id};
+  obj->last_access = ++access_clock_;
+  graph_->AddOperation(blind);
+  return Status::OK();
+}
+
+Lsn CacheManager::LogIdentityWrite(ObjectId id, CachedObject* obj) {
   // A deleted-but-uninstalled object is "identity written" by re-logging
-  // the delete: the blind re-delete peels it out of the node's vars just
+  // the delete: the blind re-delete peels it out of a node's vars just
   // like an identity value write would.
-  OperationDesc op = obj->exists ? MakeIdentityWrite(id, Slice(obj->value))
-                                 : MakeDelete(id);
   LogRecord rec;
   rec.type = RecordType::kOperation;
-  rec.op = op;
+  rec.op = obj->exists ? MakeIdentityWrite(id, Slice(obj->value))
+                       : MakeDelete(id);
   Lsn lsn = log_->Append(std::move(rec));
   ++stats_.identity_writes;
   stats_.identity_bytes_logged += obj->value.size();
   metrics_.identity_writes->Inc();
   metrics_.identity_bytes->Inc(obj->value.size());
-  // Update cache version and graph exactly like a normal blind write; the
-  // value is unchanged. W_IP records (and re-deletes) are full images.
+  // W_IP records (and re-deletes) are full images.
   obj->vsi = lsn;
-  obj->last_access = ++access_clock_;
   obj->last_full_image = true;
-  graph_->AddOperation(PendingOp::FromDesc(lsn, op));
-  return Status::OK();
+  return lsn;
+}
+
+void CacheManager::LogInstall(std::vector<InstallEntry> vars,
+                              std::vector<InstallEntry> notx) {
+  if (!log_installs_) return;
+  LogRecord install;
+  install.type = RecordType::kInstall;
+  install.installed_vars = std::move(vars);
+  install.installed_notx = std::move(notx);
+  log_->Append(std::move(install));
 }
 
 void CacheManager::MarkHot(ObjectId id, bool hot) {
@@ -278,6 +233,23 @@ void CacheManager::MarkHot(ObjectId id, bool hot) {
   } else {
     hot_.erase(id);
   }
+}
+
+ObjectId CacheManager::OtherVar(const GraphNode& n, ObjectId keep) {
+  auto it = std::find_if(n.vars.begin(), n.vars.end(),
+                         [&](ObjectId x) { return x != keep; });
+  assert(it != n.vars.end());
+  return *it;
+}
+
+bool CacheManager::OnlyFresh(const GraphNode& n, const std::set<Lsn>& fresh) {
+  return std::all_of(n.ops.begin(), n.ops.end(),
+                     [&](Lsn lsn) { return fresh.contains(lsn); });
+}
+
+bool CacheManager::AllHot(const GraphNode& n) const {
+  return std::all_of(n.vars.begin(), n.vars.end(),
+                     [&](ObjectId x) { return hot_.contains(x); });
 }
 
 Status CacheManager::PurgeOne(bool allow_hot_flush) {
@@ -298,16 +270,7 @@ Status CacheManager::PurgeOne(bool allow_hot_flush) {
     Lsn best = kMaxLsn, best_hot = kMaxLsn;
     for (NodeId id : graph_->MinimalNodes()) {
       const GraphNode* n = graph_->Find(id);
-      bool hot_only = !allow_hot_flush && !n->vars.empty();
-      if (hot_only) {
-        for (ObjectId x : n->vars) {
-          if (!hot_.contains(x)) {
-            hot_only = false;
-            break;
-          }
-        }
-      }
-      if (hot_only) {
+      if (!allow_hot_flush && !n->vars.empty() && AllHot(*n)) {
         if (n->MinOpLsn() < best_hot) {
           best_hot = n->MinOpLsn();
           hot_only_candidate = id;
@@ -327,33 +290,16 @@ Status CacheManager::PurgeOne(bool allow_hot_flush) {
                                   : "only hot flush sets remain");
     }
     const GraphNode* node = graph_->Find(v);
-    if (backend_ == StorageBackend::kLogStore ||
-        flush_policy_ != FlushPolicy::kIdentityWrites ||
-        node->vars.size() <= 1) {
-      // kLogStore installs any-sized vars set in one shot: publishing
-      // index entries is inherently multi-object-atomic, so no peeling.
-      return InstallNode(v);
-    }
+    if (node->vars.size() <= target_->MaxFlushSet()) return InstallNode(v);
     // Keep the largest object (sparing its value from the log),
     // preferring a non-hot keeper so hot objects stay unflushed.
     ObjectId keep = LargestVarsObject(v);
     if (!allow_hot_flush && hot_.contains(keep)) {
-      for (ObjectId x : node->vars) {
-        if (!hot_.contains(x)) {
-          keep = x;
-          break;
-        }
-      }
+      auto cool = std::find_if(node->vars.begin(), node->vars.end(),
+                               [&](ObjectId x) { return !hot_.contains(x); });
+      if (cool != node->vars.end()) keep = *cool;
     }
-    ObjectId peel = kInvalidObjectId;
-    for (ObjectId x : node->vars) {
-      if (x != keep) {
-        peel = x;
-        break;
-      }
-    }
-    assert(peel != kInvalidObjectId);
-    LOGLOG_RETURN_IF_ERROR(InjectIdentityWrite(peel));
+    LOGLOG_RETURN_IF_ERROR(InjectIdentityWrite(OtherVar(*node, keep)));
   }
   return Status::Aborted("identity-write peeling did not converge");
 }
@@ -364,44 +310,31 @@ Status CacheManager::InstallNode(NodeId v) {
   if (!node->preds.empty()) {
     return Status::FailedPrecondition("node has uninstalled predecessors");
   }
-  if (backend_ == StorageBackend::kLogStore) {
-    // Installation publishes index entries pointing at each object's
-    // latest record — which must therefore be a full image. Objects whose
-    // last writer was a delta/logical op get a W_IP identity write first
-    // (its record carries the value). Under the refined graph the
-    // injection peels the object into a fresh successor node, which
-    // publishes it on its own install; under W it stays in this node but
-    // now with a servable record. Either way each round strictly shrinks
-    // the set of vars lacking a full image, so the loop terminates.
-    for (int guard = 0; guard < 1 << 20; ++guard) {
-      node = graph_->Find(v);
-      if (node == nullptr) {
-        // Injections merged the node away; its operations install later.
-        return Status::OK();
-      }
-      ObjectId missing = kInvalidObjectId;
-      for (ObjectId x : node->vars) {
-        const CachedObject* obj = table_.Find(x);
-        if (obj == nullptr) {
-          return Status::Corruption("vars object not cached");
-        }
-        if (!obj->last_full_image) {
-          missing = x;
-          break;
-        }
-      }
-      if (missing == kInvalidObjectId) break;
-      LOGLOG_RETURN_IF_ERROR(InjectIdentityWrite(missing));
-      // Injection can add edges or collapse cycles; re-check each round.
-      graph_->Normalize();
-    }
+  // Vars the target cannot install as they stand (the log store publishes
+  // records, which must be full images) get a W_IP identity write first;
+  // its record carries the value. Under the refined graph the injection
+  // peels the object into a fresh successor node, which installs it on
+  // its own turn; under W it stays in this node but now installable.
+  // Either way each round strictly shrinks the set of such vars, so the
+  // loop terminates.
+  for (int guard = 0; guard < 1 << 20; ++guard) {
+    auto relog = std::find_if(node->vars.begin(), node->vars.end(),
+                              [&](ObjectId x) {
+                                const CachedObject* obj = table_.Find(x);
+                                return obj != nullptr &&
+                                       !target_->Installable(*obj);
+                              });
+    if (relog == node->vars.end()) break;
+    LOGLOG_RETURN_IF_ERROR(InjectIdentityWrite(*relog));
+    // Injection can add edges or collapse cycles; re-check each round.
+    graph_->Normalize();
     node = graph_->Find(v);
+    // Injections merged the node away; its operations install later.
     if (node == nullptr) return Status::OK();
-    if (!node->preds.empty()) {
-      // Peeling added fan-in; this node installs on a later purge.
-      return Status::OK();
-    }
   }
+  // Peeling added fan-in; this node installs on a later purge.
+  if (!node->preds.empty()) return Status::OK();
+
   // WAL: every operation being installed must be stable first — and so
   // must every blind write whose record this installation counts on to
   // regenerate an unexposed (notx) object after a crash.
@@ -417,97 +350,16 @@ Status CacheManager::InstallNode(NodeId v) {
   install_span.AddArg("vars", static_cast<uint64_t>(node->vars.size()));
   install_span.AddArg("notx", static_cast<uint64_t>(node->notx.size()));
 
-  // Gather the current cached versions of vars(n).
+  // Install the current cached versions of vars(n).
   std::vector<ObjectWrite> writes;
   writes.reserve(node->vars.size());
   for (ObjectId x : node->vars) {
     const CachedObject* obj = table_.Find(x);
-    if (obj == nullptr) {
-      return Status::Corruption("vars object not cached");
-    }
-    ObjectWrite w;
-    w.id = x;
-    w.vsi = obj->vsi;
-    if (obj->exists) {
-      w.value = Slice(obj->value);
-    } else {
-      w.erase = true;
-    }
-    writes.push_back(w);
+    if (obj == nullptr) return Status::Corruption("vars object not cached");
+    writes.push_back(
+        ObjectWrite{x, Slice(obj->value), obj->vsi, !obj->exists});
   }
-
-  // Flush vars(n) under the configured policy. Transient device errors
-  // are retried here (the flush path is where the WAL protocol lets us
-  // simply re-issue); anything that survives the retry budget propagates.
-  // Under kLogStore there is no flush at all: the forced records ARE the
-  // stable images, and publishing their index entries (below) is the
-  // installation. That is the backend's write-path win — one log force
-  // replaces per-object stable-store writes.
-  auto flush_atomic = [&](const std::vector<ObjectWrite>& ws) {
-    return RetryTransientIo(&disk_->stats().io_retries,
-                            [&] { return disk_->store().WriteAtomic(ws); });
-  };
-  if (backend_ != StorageBackend::kLogStore) {
-    switch (flush_policy_) {
-      case FlushPolicy::kNativeAtomic:
-      case FlushPolicy::kShadow:
-        LOGLOG_RETURN_IF_ERROR(flush_atomic(writes));
-        break;
-      case FlushPolicy::kIdentityWrites:
-        // PurgeOne reduced |vars| to at most 1.
-        if (writes.size() > 1) {
-          return Status::FailedPrecondition(
-              "identity-write policy with multi-object flush set");
-        }
-        LOGLOG_RETURN_IF_ERROR(flush_atomic(writes));
-        break;
-      case FlushPolicy::kFlushTransaction: {
-        if (writes.size() <= 1) {
-          LOGLOG_RETURN_IF_ERROR(flush_atomic(writes));
-          break;
-        }
-        // Freeze the set: quiesce, log every value plus a commit record,
-        // force, then overwrite in place (each its own device write).
-        ++disk_->stats().quiesce_events;
-        ++stats_.flush_txns;
-        metrics_.flush_txns->Inc();
-        LogRecord begin;
-        begin.type = RecordType::kFlushTxnBegin;
-        for (const ObjectWrite& w : writes) {
-          FlushValue fv;
-          fv.id = w.id;
-          fv.vsi = w.vsi;
-          fv.erase = w.erase;
-          fv.value = w.value.ToBytes();
-          stats_.flush_txn_bytes_logged += fv.value.size();
-          ++stats_.flush_txn_values_logged;
-          begin.flush_values.push_back(std::move(fv));
-        }
-        Lsn begin_lsn = log_->Append(std::move(begin));
-        LogRecord commit;
-        commit.type = RecordType::kFlushTxnCommit;
-        commit.ref_lsn = begin_lsn;
-        Lsn commit_lsn = log_->Append(std::move(commit));
-        LOGLOG_RETURN_IF_ERROR(log_->Force(commit_lsn));
-        LOGLOG_RETURN_IF_ERROR(
-            disk_->fault_injector().MaybeFail(fault::kCmAfterFlushTxnCommit));
-        bool first = true;
-        for (const ObjectWrite& w : writes) {
-          LOGLOG_RETURN_IF_ERROR(
-              RetryTransientIo(&disk_->stats().io_retries, [&] {
-                return w.erase ? disk_->store().Erase(w.id)
-                               : disk_->store().Write(w.id, w.value, w.vsi);
-              }));
-          if (first) {
-            LOGLOG_RETURN_IF_ERROR(disk_->fault_injector().MaybeFail(
-                fault::kCmAfterFirstFlushTxnWrite));
-          }
-          first = false;
-        }
-        break;
-      }
-    }
-  }
+  LOGLOG_RETURN_IF_ERROR(target_->InstallSet(writes, &stats_));
 
   // Remove the node: its operations are installed.
   InstallResult result;
@@ -520,35 +372,16 @@ Status CacheManager::InstallNode(NodeId v) {
 
   // Advance rSIs for all of Writes(n) = vars ∪ notx (Section 5): an
   // object's rSI becomes the lSI of its first *uninstalled* writer.
-  LogRecord install;
-  install.type = RecordType::kInstall;
+  std::vector<InstallEntry> installed_vars;
+  std::vector<InstallEntry> installed_notx;
   for (ObjectId x : result.flush_objects) {
     CachedObject* obj = table_.Find(x);
     assert(obj != nullptr);
     Lsn rsi = graph_->FirstUninstalledWriter(x);
     obj->rsi = rsi;
     obj->dirty = (rsi != kInvalidLsn);
-    if (backend_ == StorageBackend::kLogStore) {
-      // Installation = index publish: the object's forced full-image
-      // record becomes its stable version. Deletes retire the entry —
-      // an absent id IS nonexistence under kLogStore.
-      if (obj->exists) {
-        uint64_t off = 0;
-        uint64_t sz = 0;
-        if (!log_->StableExtentOf(obj->vsi, &off, &sz)) {
-          return Status::Corruption("installed image has no stable extent");
-        }
-        index_.Publish(x, obj->vsi, off, sz);
-      } else {
-        index_.Erase(x);
-      }
-    }
-    if (!obj->dirty) {
-      // Flushed clean: the hotness window restarts (auto-hot cools).
-      obj->writes_since_clean = 0;
-      if (auto_hot_.erase(x) > 0) hot_.erase(x);
-    }
-    install.installed_vars.push_back(InstallEntry{x, rsi});
+    if (!obj->dirty) Cool(x, obj);
+    installed_vars.push_back(InstallEntry{x, rsi});
     if (!obj->exists && !obj->dirty) {
       // Installed delete: the object leaves the object table.
       table_.Erase(x);
@@ -562,13 +395,15 @@ Status CacheManager::InstallNode(NodeId v) {
     // later (uninstalled) blind write and has not been flushed.
     obj->rsi = rsi;
     obj->dirty = true;
-    install.installed_notx.push_back(InstallEntry{x, rsi});
+    installed_notx.push_back(InstallEntry{x, rsi});
   }
-  if (log_installs_) {
-    // Lazily logged: not forced. Losing it merely costs extra redos.
-    log_->Append(std::move(install));
-  }
+  LogInstall(std::move(installed_vars), std::move(installed_notx));
   return Status::OK();
+}
+
+void CacheManager::Cool(ObjectId id, CachedObject* obj) {
+  obj->writes_since_clean = 0;
+  if (auto_hot_.erase(id) > 0) hot_.erase(id);
 }
 
 Status CacheManager::FlushAll() {
@@ -578,179 +413,28 @@ Status CacheManager::FlushAll() {
     LOGLOG_RETURN_IF_ERROR(st);
   }
   // With an empty graph every remaining dirty object has no uninstalled
-  // writers; flush them individually (covers install-without-flush
-  // leftovers defensively).
+  // writers (install-without-flush leftovers); install each directly —
+  // after a W_IP re-log if the target cannot take its record as it
+  // stands.
   std::vector<ObjectId> dirty;
   table_.ForEach([&](ObjectId id, CachedObject& obj) {
     if (obj.dirty) dirty.push_back(id);
   });
   for (ObjectId id : dirty) {
     CachedObject* obj = table_.Find(id);
-    if (backend_ == StorageBackend::kLogStore) {
-      // No uninstalled writers remain (the graph drained above), so the
-      // object publishes directly: its latest record if it is already a
-      // full image, else one W_IP re-log.
-      if (obj->last_full_image) {
-        LOGLOG_RETURN_IF_ERROR(PublishCurrentImage(id, obj));
-      } else {
-        LOGLOG_RETURN_IF_ERROR(RelogAndPublish(id, obj));
-      }
-      if (!obj->exists) table_.Erase(id);
-      continue;
-    }
+    if (!target_->Installable(*obj)) LogIdentityWrite(id, obj);
     LOGLOG_RETURN_IF_ERROR(log_->Force(obj->vsi));
-    if (obj->exists) {
-      LOGLOG_RETURN_IF_ERROR(
-          RetryTransientIo(&disk_->stats().io_retries, [&] {
-            return disk_->store().Write(id, Slice(obj->value), obj->vsi);
-          }));
-      obj->dirty = false;
-      obj->rsi = kInvalidLsn;
-      obj->writes_since_clean = 0;
-      if (auto_hot_.erase(id) > 0) hot_.erase(id);
-    } else {
-      if (disk_->store().Exists(id)) {
-        LOGLOG_RETURN_IF_ERROR(RetryTransientIo(
-            &disk_->stats().io_retries, [&] { return disk_->store().Erase(id); }));
-      }
-      table_.Erase(id);
+    LOGLOG_RETURN_IF_ERROR(target_->WriteBack(
+        ObjectWrite{id, Slice(obj->value), obj->vsi, !obj->exists}));
+    obj->dirty = false;
+    obj->rsi = kInvalidLsn;
+    Cool(id, obj);
+    if (target_->NeedsInstallEvidence()) {
+      // Marks this install for recovery's rebuild of the target.
+      LogInstall({InstallEntry{id, kInvalidLsn}});
     }
+    if (!obj->exists) table_.Erase(id);
   }
-  return Status::OK();
-}
-
-Status CacheManager::PublishCurrentImage(ObjectId id, CachedObject* obj) {
-  LOGLOG_RETURN_IF_ERROR(log_->Force(obj->vsi));
-  if (obj->exists) {
-    uint64_t off = 0;
-    uint64_t sz = 0;
-    if (!log_->StableExtentOf(obj->vsi, &off, &sz)) {
-      return Status::Corruption("stable image has no offset entry");
-    }
-    index_.Publish(id, obj->vsi, off, sz);
-  } else {
-    index_.Erase(id);
-  }
-  obj->dirty = false;
-  obj->rsi = kInvalidLsn;
-  obj->writes_since_clean = 0;
-  if (auto_hot_.erase(id) > 0) hot_.erase(id);
-  if (log_installs_) {
-    // Evidence for recovery's faithful index rebuild: an install record
-    // marks this publish so the rebuilt index can re-apply it. Lazily
-    // logged, like node installs — losing it costs extra redo only.
-    LogRecord install;
-    install.type = RecordType::kInstall;
-    install.installed_vars.push_back(InstallEntry{id, kInvalidLsn});
-    log_->Append(std::move(install));
-  }
-  return Status::OK();
-}
-
-Status CacheManager::RelogAndPublish(ObjectId id, CachedObject* obj) {
-  // Only legal for objects with no uninstalled writers: the W_IP goes
-  // straight to the log without entering the write graph, because its
-  // installation (the publish below) is immediate.
-  OperationDesc op = obj->exists ? MakeIdentityWrite(id, Slice(obj->value))
-                                 : MakeDelete(id);
-  LogRecord rec;
-  rec.type = RecordType::kOperation;
-  rec.op = std::move(op);
-  Lsn lsn = log_->Append(std::move(rec));
-  ++stats_.identity_writes;
-  stats_.identity_bytes_logged += obj->value.size();
-  metrics_.identity_writes->Inc();
-  metrics_.identity_bytes->Inc(obj->value.size());
-  obj->vsi = lsn;
-  obj->last_full_image = true;
-  return PublishCurrentImage(id, obj);
-}
-
-Status CacheManager::CompactLogStore(size_t batch, uint64_t* images_moved,
-                                     uint64_t* bytes_moved) {
-  if (images_moved != nullptr) *images_moved = 0;
-  if (bytes_moved != nullptr) *bytes_moved = 0;
-  if (backend_ != StorageBackend::kLogStore || batch == 0) {
-    return Status::OK();
-  }
-  DrainGraphBatch();
-  // Oldest live images first: the minimum-LSN entry is what pins the
-  // truncation point, so moving it is what lets the next checkpoint
-  // reclaim bytes.
-  std::vector<IndexCheckpointEntry> entries = index_.Snapshot();
-  std::sort(entries.begin(), entries.end(),
-            [](const IndexCheckpointEntry& a, const IndexCheckpointEntry& b) {
-              return a.lsn < b.lsn;
-            });
-  struct Moved {
-    ObjectId id;
-    Lsn lsn;
-    uint64_t old_size;
-  };
-  std::vector<Moved> moved;
-  for (const IndexCheckpointEntry& e : entries) {
-    if (moved.size() >= batch) break;
-    CachedObject* obj = table_.Find(e.id);
-    if (obj == nullptr) {
-      CachedObject* faulted = nullptr;
-      Status st = FaultInFromLog(e.id, kMaxIoRetries, &faulted);
-      if (st.IsNotFound()) continue;  // raced with a delete
-      LOGLOG_RETURN_IF_ERROR(st);
-      obj = faulted;
-    }
-    if (obj->dirty || graph_->FirstUninstalledWriter(e.id) != kInvalidLsn) {
-      // A pending writer republishes this object at install time anyway;
-      // re-logging it now would be wasted log volume.
-      continue;
-    }
-    if (graph_->HasUninstalledReader(e.id)) {
-      // rW discipline: a write-after-read must not install before the
-      // reader. The W_IP would publish instantly (bypassing the graph),
-      // handing the object a version newer than the uninstalled reader —
-      // recovery would then void the reader's redo and lose its writes.
-      continue;
-    }
-    if (!obj->exists) {
-      index_.Erase(e.id);
-      continue;
-    }
-    OperationDesc op = MakeIdentityWrite(e.id, Slice(obj->value));
-    LogRecord rec;
-    rec.type = RecordType::kOperation;
-    rec.op = std::move(op);
-    Lsn lsn = log_->Append(std::move(rec));
-    ++stats_.identity_writes;
-    stats_.identity_bytes_logged += obj->value.size();
-    metrics_.identity_writes->Inc();
-    metrics_.identity_bytes->Inc(obj->value.size());
-    obj->vsi = lsn;
-    obj->last_full_image = true;
-    moved.push_back(Moved{e.id, lsn, e.size});
-  }
-  if (moved.empty()) return Status::OK();
-  // One force covers the whole batch (group-commit for compaction), then
-  // every moved image republishes at its forward position.
-  LOGLOG_RETURN_IF_ERROR(log_->Force(moved.back().lsn));
-  uint64_t old_bytes = 0;
-  LogRecord install;
-  install.type = RecordType::kInstall;
-  for (const Moved& m : moved) {
-    uint64_t off = 0;
-    uint64_t sz = 0;
-    if (!log_->StableExtentOf(m.lsn, &off, &sz)) {
-      return Status::Corruption("compacted image has no stable extent");
-    }
-    index_.Publish(m.id, m.lsn, off, sz);
-    install.installed_vars.push_back(InstallEntry{m.id, kInvalidLsn});
-    old_bytes += m.old_size;
-  }
-  if (log_installs_) {
-    // One lazy install record marks the whole batch for recovery's index
-    // rebuild (see PublishCurrentImage).
-    log_->Append(std::move(install));
-  }
-  if (images_moved != nullptr) *images_moved = moved.size();
-  if (bytes_moved != nullptr) *bytes_moved = old_bytes;
   return Status::OK();
 }
 
@@ -769,22 +453,8 @@ Status CacheManager::InstallHotNodesByLogging() {
     for (NodeId id : graph_->MinimalNodes()) {
       const GraphNode* n = graph_->Find(id);
       if (n->vars.empty()) continue;
-      bool eligible = false;
-      for (Lsn lsn : n->ops) {
-        if (!fresh_identity_ops.contains(lsn)) {
-          eligible = true;
-          break;
-        }
-      }
-      if (!eligible) continue;
-      bool hot_only = true;
-      for (ObjectId x : n->vars) {
-        if (!hot_.contains(x)) {
-          hot_only = false;
-          break;
-        }
-      }
-      if (hot_only) {
+      if (OnlyFresh(*n, fresh_identity_ops)) continue;
+      if (AllHot(*n)) {
         target = id;
         break;
       }
@@ -841,14 +511,7 @@ Status CacheManager::EnforceRecoveryBudget(uint64_t budget_ops,
     for (NodeId id : graph_->MinimalNodes()) {
       if (deferred.contains(id)) continue;
       const GraphNode* n = graph_->Find(id);
-      bool eligible = false;
-      for (Lsn lsn : n->ops) {
-        if (!fresh_identity_ops.contains(lsn)) {
-          eligible = true;
-          break;
-        }
-      }
-      if (!eligible) continue;
+      if (OnlyFresh(*n, fresh_identity_ops)) continue;
       if (n->MinOpLsn() < best) {
         best = n->MinOpLsn();
         v = id;
@@ -861,21 +524,11 @@ Status CacheManager::EnforceRecoveryBudget(uint64_t budget_ops,
     while (true) {
       const GraphNode* n = graph_->Find(v);
       if (n == nullptr) break;
-      ObjectId peel = kInvalidObjectId;
-      for (ObjectId x : n->vars) {
-        if (hot_.contains(x)) {
-          peel = x;
-          break;
-        }
-      }
+      auto hot = std::find_if(n->vars.begin(), n->vars.end(),
+                              [&](ObjectId x) { return hot_.contains(x); });
+      ObjectId peel = hot != n->vars.end() ? *hot : kInvalidObjectId;
       if (peel == kInvalidObjectId && n->vars.size() > 1) {
-        ObjectId keep = LargestVarsObject(v);
-        for (ObjectId x : n->vars) {
-          if (x != keep) {
-            peel = x;
-            break;
-          }
-        }
+        peel = OtherVar(*n, LargestVarsObject(v));
       }
       if (peel == kInvalidObjectId) break;  // flushable as-is
       ++stats_.budget_identity_requests;
@@ -922,18 +575,8 @@ Status CacheManager::Checkpoint(Lsn truncate_floor, uint64_t txn_watermark) {
   ++stats_.checkpoints;
   metrics_.checkpoints->Inc();
   TraceSpan span("cm.checkpoint", "cache");
-  // Under kLogStore, persist the object index first so recovery's rebuild
-  // starts from this snapshot instead of scanning the whole retained log.
-  // The record must survive truncation (it is this restart's rebuild
-  // base), so its LSN joins the truncation floor below.
-  Lsn idx_lsn = kMaxLsn;
-  if (backend_ == StorageBackend::kLogStore) {
-    LogRecord idx;
-    idx.type = RecordType::kIndexCheckpoint;
-    idx.index_entries = index_.Snapshot();
-    idx_lsn = log_->Append(std::move(idx));
-    metrics_.logstore_index_ckpts->Inc();
-  }
+  // The target may log state of its own that the truncation must keep.
+  Lsn target_floor = target_->BeginCheckpoint();
   LogRecord rec;
   rec.type = RecordType::kCheckpoint;
   rec.dot = table_.DirtySnapshot();
@@ -950,22 +593,9 @@ Status CacheManager::Checkpoint(Lsn truncate_floor, uint64_t txn_watermark) {
   // never past an active transaction's begin record (truncate_floor): a
   // rollback, at runtime or of a loser after a crash, must still find
   // the full backchain on the retained log.
-  // Under kLogStore the floor deliberately ignores LogIndex::MinLsn: live
-  // images below the truncation point fall into the device's cold tier
-  // and stay readable there. Compaction, not retention, is what keeps
-  // the hot log short.
-  log_->TruncateBefore(std::min({min_rsi, ckpt_lsn, truncate_floor, idx_lsn}));
-  if (backend_ == StorageBackend::kLogStore && !cold_retention_full_) {
-    // Archive GC (opt-in): cold segments wholly below the oldest live
-    // image hold only dead or rewritten bytes and can be released. The
-    // bound is what compaction advances — without it, one cold object
-    // pins the archive forever.
-    uint64_t min_live = disk_->log().start_offset();
-    for (const IndexCheckpointEntry& e : index_.Snapshot()) {
-      min_live = std::min(min_live, e.offset);
-    }
-    disk_->log().ReclaimColdBelow(min_live);
-  }
+  log_->TruncateBefore(
+      std::min({min_rsi, ckpt_lsn, truncate_floor, target_floor}));
+  target_->EndCheckpoint();
   return Status::OK();
 }
 

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/install_target.h"
 #include "cache/object_table.h"
 #include "cache/policies.h"
 #include "obs/histogram.h"
@@ -14,7 +15,6 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "graph/write_graph.h"
-#include "logstore/log_index.h"
 #include "ops/operation.h"
 #include "storage/simulated_disk.h"
 #include "wal/log_manager.h"
@@ -45,27 +45,30 @@ struct CacheStats {
 };
 
 /// \brief The cache manager: volatile object state, the write graph, and
-/// the flush machinery of Figure 4 (PurgeCache) plus Section 4's policies.
+/// the install machinery of Figure 4 (PurgeCache) plus Section 4's
+/// identity-write policies.
 ///
 /// The CM's duty (Section 3) is to keep the stable database explainable:
-/// it flushes objects only in write-graph order, honoring the WAL
-/// protocol, and installs operations by flushing the vars of minimal
-/// nodes. It is shared by normal execution and recovery — the redo pass
-/// applies operations through the same ApplyResults path, which is what
-/// makes recovery idempotent under repeated crashes.
+/// it installs operations only in write-graph order, honoring the WAL
+/// protocol, by installing the vars of minimal nodes into its
+/// InstallTarget. It is shared by normal execution and recovery — the
+/// redo pass applies operations through the same ApplyResults path, which
+/// is what makes recovery idempotent under repeated crashes.
 class CacheManager {
  public:
+  /// `target` is where installed state lives; nullptr installs into the
+  /// disk's StableStore under `flush_policy` (a StoreTarget).
   CacheManager(SimulatedDisk* disk, LogManager* log, GraphKind graph_kind,
                FlushPolicy flush_policy, bool log_installs,
-               StorageBackend backend = StorageBackend::kDualWrite);
+               std::unique_ptr<InstallTarget> target = nullptr);
 
   CacheManager(const CacheManager&) = delete;
   CacheManager& operator=(const CacheManager&) = delete;
 
-  /// Latest value of an object (cache, else stable store). NotFound if it
-  /// does not exist or has been deleted. `io_budget` bounds transient-I/O
-  /// retries on the cache-miss stable read (kMaxIoRetries by default; the
-  /// rollback path passes EngineOptions::rollback_io_retries).
+  /// Latest value of an object (cache, else the install target). NotFound
+  /// if it does not exist or has been deleted. `io_budget` bounds
+  /// transient-I/O retries on the cache-miss read (kMaxIoRetries by
+  /// default; the rollback path passes EngineOptions::rollback_io_retries).
   Status GetValue(ObjectId id, ObjectValue* out,
                   int io_budget = kMaxIoRetries);
 
@@ -143,30 +146,22 @@ class CacheManager {
   /// an object be clean before leaving the cache).
   void EvictTo(size_t capacity);
 
-  /// Which durability backend installation targets (fixed at
-  /// construction).
-  StorageBackend backend() const { return backend_; }
+  /// Where installed state lives (fixed at construction).
+  InstallTarget& target() { return *target_; }
 
-  /// The log-as-database object index (meaningful under kLogStore; empty
-  /// under kDualWrite). Recovery rebuilds it through this accessor.
-  LogIndex& log_index() { return index_; }
-  const LogIndex& log_index() const { return index_; }
+  /// The cached entry for `id` (tombstones included), faulting a clean
+  /// copy in from the target on a miss. NotFound if it does not exist.
+  Status Fetch(ObjectId id, CachedObject** out);
 
-  /// Log-store compaction: re-logs up to `batch` of the oldest live
-  /// images forward as W_IP identity writes (one force for the batch) and
-  /// republishes their index entries, advancing LogIndex::MinLsn so the
-  /// next checkpoint's truncation reclaims the bytes behind it. Objects
-  /// with uninstalled writers are skipped — installation will republish
-  /// them anyway. `images_moved` / `bytes_moved` (optional) report the
-  /// pass size. No-op (OK) under kDualWrite or with an empty index.
-  Status CompactLogStore(size_t batch, uint64_t* images_moved = nullptr,
-                         uint64_t* bytes_moved = nullptr);
+  /// Appends a W_IP identity write of `obj`'s value (a re-delete for a
+  /// tombstone) *outside* the write graph, makes the record obj's version
+  /// and returns its LSN. Callers add it to the graph or install it.
+  Lsn LogIdentityWrite(ObjectId id, CachedObject* obj);
 
-  /// Archive retention policy (kLogStore only; see
-  /// LogStoreOptions::cold_retention_full). With full retention off,
-  /// every checkpoint drops cold segments wholly below the oldest live
-  /// index offset. Default: full retention.
-  void set_cold_retention_full(bool full) { cold_retention_full_ = full; }
+  /// Appends a kInstall record when install logging is on. Lazily logged
+  /// (not forced): losing it merely costs extra redos.
+  void LogInstall(std::vector<InstallEntry> vars,
+                  std::vector<InstallEntry> notx = {});
 
   ObjectTable& table() { return table_; }
   const ObjectTable& table() const { return table_; }
@@ -185,55 +180,25 @@ class CacheManager {
     return graph_->op_count() + pending_graph_ops_.size();
   }
 
-  /// Batched rW-graph maintenance: when enabled (the default),
-  /// ApplyResults queues graph insertions and the union-find/SCC work is
-  /// amortized across a batch, drained in LSN order before any graph
-  /// read. Observable graph state is identical to per-append insertion —
-  /// the drain happens before anything can look.
-  void set_graph_batching(bool enabled) {
-    if (!enabled) DrainGraphBatch();
-    graph_batching_ = enabled;
-  }
-  bool graph_batching() const { return graph_batching_; }
-
   /// Structural audit for tests: object-table/graph rSI agreement plus
   /// write-graph invariants.
   Status CheckInvariants();
 
-  /// Crash-window fail points, kept as a compatibility shim over the
-  /// FaultInjector registry: each value maps to a one-shot kCrashNow
-  /// fault at the corresponding fault::kCm* site on the disk's injector
-  /// (kNone disarms all three). New code should arm the sites directly —
-  /// the registry adds trigger policies (nth-hit, every-k, probabilistic)
-  /// this enum never had.
-  enum class FailPoint {
-    kNone,
-    /// Flush transaction: after the commit record is forced but before
-    /// any in-place object writes (recovery must complete the txn).
-    kAfterFlushTxnCommit,
-    /// Flush transaction: after the first in-place write (recovery must
-    /// complete the remainder idempotently).
-    kAfterFirstFlushTxnWrite,
-    /// After the WAL force, before the flush itself (recovery redoes).
-    kAfterWalForce,
-  };
-  void set_fail_point(FailPoint fp);
-
  private:
-  /// Flushes vars(v) and removes v from the graph; v must be minimal.
+  /// Installs vars(v) into the target and removes v from the graph; v
+  /// must be minimal.
   Status InstallNode(NodeId v);
-  /// kLogStore cache-miss path: looks the object up in the index, reads
-  /// its framed record from the log device (hot bytes or cold tier),
-  /// re-decodes the full image and populates the cache clean.
-  Status FaultInFromLog(ObjectId id, int io_budget, CachedObject** out);
-  /// kLogStore publish path for an object with no uninstalled writers:
-  /// appends a W_IP identity write (or a tombstone re-delete), forces it,
-  /// and publishes the resulting stable extent in the index. The object
-  /// comes out clean with vsi = the new record's LSN.
-  Status RelogAndPublish(ObjectId id, CachedObject* obj);
-  /// Publishes `id`'s current cached version in the index from its
-  /// existing stable record (obj->vsi must be stable and a full image).
-  Status PublishCurrentImage(ObjectId id, CachedObject* obj);
+  /// Cache-miss path: reads the installed version from the target and
+  /// populates the cache clean.
+  Status FaultIn(ObjectId id, int io_budget, CachedObject** out);
+  /// Flushed clean: the hotness window restarts (auto-hot cools).
+  void Cool(ObjectId id, CachedObject* obj);
+  /// The first var of `n` other than `keep` (n must have one).
+  static ObjectId OtherVar(const GraphNode& n, ObjectId keep);
+  /// Every operation of `n` is one of the `fresh` identity writes.
+  static bool OnlyFresh(const GraphNode& n, const std::set<Lsn>& fresh);
+  /// Every var of `n` is hot (true for an empty set).
+  bool AllHot(const GraphNode& n) const;
   /// Section 4 install-without-flush: installs every minimal hot-only
   /// node by peeling its vars to zero with identity writes (one logged
   /// value per hot object) and installing the empty node. Run by
@@ -260,7 +225,6 @@ class CacheManager {
     Counter* ops_installed;
     Counter* identity_writes;
     Counter* identity_bytes;
-    Counter* flush_txns;
     Counter* evictions;
     Counter* checkpoints;
     Counter* budget_installs;
@@ -269,8 +233,6 @@ class CacheManager {
     Counter* graph_batches;
     Counter* graph_batched_ops;
     HistogramMetric* flush_set_size;
-    Counter* logstore_reads_log;
-    Counter* logstore_index_ckpts;
   };
 
   SimulatedDisk* disk_;
@@ -280,9 +242,7 @@ class CacheManager {
   Instruments metrics_;
   FlushPolicy flush_policy_;
   bool log_installs_;
-  StorageBackend backend_;
-  bool cold_retention_full_ = true;
-  LogIndex index_;
+  std::unique_ptr<InstallTarget> target_;
   CacheStats stats_;
   uint64_t access_clock_ = 0;
   std::set<ObjectId> hot_;
@@ -291,7 +251,6 @@ class CacheManager {
   /// Graph insertions not yet applied, in LSN order (mutable: reads
   /// drain; see DrainGraphBatch).
   mutable std::vector<PendingOp> pending_graph_ops_;
-  bool graph_batching_ = true;
 };
 
 }  // namespace loglog

@@ -31,9 +31,9 @@ struct CachedObject {
   /// Writes since the object was last flushed clean (hotness signal).
   uint64_t writes_since_clean = 0;
   /// The cached version's producing record is a full image (see
-  /// logstore/logstore.h). Under StorageBackend::kLogStore installation
-  /// may only publish index entries for such versions; anything else must
-  /// first be re-logged as a W_IP identity write.
+  /// logstore/logstore.h). The log-store install target only publishes
+  /// such versions; anything else is first re-logged as a W_IP identity
+  /// write (InstallTarget::Installable).
   bool last_full_image = false;
 };
 

@@ -52,23 +52,6 @@ enum class ForcePolicy {
   kSizeThreshold,
 };
 
-/// Where installed object state durably lives.
-enum class StorageBackend {
-  /// Classic dual-write: installation flushes object images to the
-  /// StableStore (possibly after W_IP peeling), and reads that miss the
-  /// cache fetch from the store. Baseline.
-  kDualWrite,
-  /// Log-as-database: the log IS the store. Installation publishes a
-  /// LogIndex entry pointing at the object's last stable full-image
-  /// record (injecting a W_IP identity write first when the tail record
-  /// is not a full image); cache misses read the image back from the
-  /// log device — hot retained window or spilled cold tier. A background
-  /// compactor rewrites live tails forward so truncation reclaims real
-  /// bytes; kIndexCheckpoint control records bound index-rebuild cost at
-  /// recovery.
-  kLogStore,
-};
-
 /// REDO test variants of Section 5.
 enum class RedoTestKind {
   /// Redo every applicable operation (repeat all of history).

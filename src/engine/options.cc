@@ -1,0 +1,25 @@
+#include "engine/options.h"
+
+namespace loglog {
+
+Status EngineOptions::Validate() const {
+  if (backend != StorageBackend::kLogStore) return Status::OK();
+  if (!log_installs) {
+    return Status::InvalidArgument(
+        "kLogStore requires log_installs: the index rebuild keys off "
+        "install records");
+  }
+  if (redo_test == RedoTestKind::kAlways) {
+    return Status::InvalidArgument(
+        "kLogStore rejects redo_test kAlways: its repeat-all baseline is "
+        "defined over the stable store, which the backend never writes");
+  }
+  if (recovery.redo_threads > 1) {
+    return Status::InvalidArgument(
+        "kLogStore requires serial redo: parallel redo partitions over "
+        "stable-store base images");
+  }
+  return Status::OK();
+}
+
+}  // namespace loglog

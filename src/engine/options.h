@@ -6,8 +6,22 @@
 
 #include "adapt/policy_options.h"
 #include "cache/policies.h"
+#include "common/status.h"
 
 namespace loglog {
+
+/// Where installed object state durably lives. RecoveryEngine turns the
+/// choice into the cache manager's InstallTarget (cache/install_target.h).
+enum class StorageBackend {
+  /// Classic dual-write: installation flushes object images to the
+  /// StableStore, and cache misses read the store. Baseline.
+  kDualWrite,
+  /// Log-as-database (logstore/logstore_target.h): the log IS the store.
+  /// Installation publishes a LogIndex entry pointing at the object's
+  /// last stable full-image record; cache misses read the image back
+  /// from the log device — hot retained window or spilled cold tier.
+  kLogStore,
+};
 
 /// Log-as-database (StorageBackend::kLogStore) tuning.
 struct LogStoreOptions {
@@ -20,10 +34,6 @@ struct LogStoreOptions {
   /// Live images moved per compaction pass. Small batches bound the
   /// foreground stall a pass can cause; the cadence supplies throughput.
   size_t compact_batch_objects = 8;
-  /// Append a kIndexCheckpoint record every N operations in addition to
-  /// the one every Checkpoint() takes (0 = checkpoint-only). Bounds the
-  /// analysis-pass index rebuild window.
-  size_t index_checkpoint_interval_ops = 0;
   /// Keep every spilled cold segment forever (the default: full history
   /// stays replayable, which crash verification depends on). Turned off,
   /// each checkpoint garbage-collects cold segments wholly below the
@@ -89,10 +99,11 @@ struct EngineOptions {
   /// choice of W_P / W_PL / W_L driven by an online cost model, plus the
   /// budget-driven W_IP requests above. Off by default.
   AdaptivePolicyOptions adaptive;
-  /// Where installed object state durably lives (src/logstore/). Under
-  /// kLogStore the StableStore sees no object writes: installation is an
-  /// index publish, reads fall through to the log, and the compactor +
-  /// log truncation replace store-side space management.
+  /// Where installed object state durably lives. Under kLogStore the
+  /// StableStore sees no object writes: installation is an index publish,
+  /// reads fall through to the log, and the compactor + log truncation
+  /// replace store-side space management. Validate() rejects kLogStore with
+  /// log_installs = false, redo_test = kAlways or redo_threads > 1.
   StorageBackend backend = StorageBackend::kDualWrite;
   /// Log-as-database tuning; only read when backend == kLogStore.
   LogStoreOptions logstore;
@@ -101,6 +112,11 @@ struct EngineOptions {
   /// rollback already runs under duress, and a rollback that fails cleanly
   /// is re-runnable after crash-recovery, so failing fast is safe.
   int rollback_io_retries = 1;
+
+  /// InvalidArgument for settings that cannot work together. Options are
+  /// never rewritten: RecoveryEngine's Recover() and Execute() return
+  /// this error instead.
+  Status Validate() const;
 };
 
 }  // namespace loglog

@@ -2,6 +2,7 @@
 
 #include "engine/txn_manager.h"
 #include "logstore/compactor.h"
+#include "logstore/logstore_target.h"
 #include "ops/function_registry.h"
 #include "ops/inverse_registry.h"
 #include "ops/op_builder.h"
@@ -10,33 +11,25 @@ namespace loglog {
 
 RecoveryEngine::RecoveryEngine(const EngineOptions& options,
                                SimulatedDisk* disk)
-    : options_(options), disk_(disk) {
-  const bool logstore = options_.backend == StorageBackend::kLogStore;
-  if (logstore) {
-    // The log IS the database: install evidence (kInstall records) is
-    // what recovery's index rebuild keys off, so install logging is not
-    // optional here. And kAlways redo would skip nothing, but its
-    // manifest check consults the store the backend never writes —
-    // force the vSI test, which reads the rebuilt cache state instead.
-    options_.log_installs = true;
-    if (options_.redo_test == RedoTestKind::kAlways) {
-      options_.redo_test = RedoTestKind::kVsi;
-    }
-  }
+    : options_(options), options_status_(options.Validate()), disk_(disk) {
   log_ = std::make_unique<LogManager>(&disk_->log());
   log_->set_force_policy(options_.wal_force_policy, options_.wal_group_bytes);
-  cache_ = std::make_unique<CacheManager>(disk_, log_.get(),
-                                          options_.graph_kind,
-                                          options_.flush_policy,
-                                          options_.log_installs,
-                                          options_.backend);
+  // The one backend choice: where installed state lives (nullptr: the
+  // stable store).
+  std::unique_ptr<InstallTarget> target;
+  if (options_.backend == StorageBackend::kLogStore) {
+    auto logstore = std::make_unique<LogStoreTarget>(
+        disk_, log_.get(), options_.logstore.cold_retention_full);
+    log_index_ = &logstore->index();
+    compactor_ = std::make_unique<Compactor>(this, logstore.get());
+    target = std::move(logstore);
+  }
+  cache_ = std::make_unique<CacheManager>(
+      disk_, log_.get(), options_.graph_kind, options_.flush_policy,
+      options_.log_installs, std::move(target));
   cache_->set_auto_hot_threshold(options_.auto_hot_write_threshold);
   if (options_.adaptive.enabled) {
     policy_ = std::make_unique<AdaptiveLogPolicy>(options_.adaptive);
-  }
-  if (logstore) {
-    compactor_ = std::make_unique<Compactor>(this);
-    cache_->set_cold_retention_full(options_.logstore.cold_retention_full);
   }
   needs_recovery_ = disk_->log().retained_bytes() > 0;
 }
@@ -44,6 +37,7 @@ RecoveryEngine::RecoveryEngine(const EngineOptions& options,
 RecoveryEngine::~RecoveryEngine() = default;
 
 Status RecoveryEngine::Recover(RecoveryStats* stats) {
+  LOGLOG_RETURN_IF_ERROR(options_status_);
   RecoveryStats local;
   RecoveryDriver driver(disk_, log_.get(), cache_.get(),
                         options_.redo_test, repair_backup_,
@@ -61,6 +55,7 @@ Status RecoveryEngine::Recover(RecoveryStats* stats) {
 }
 
 Status RecoveryEngine::Execute(const OperationDesc& op, Lsn* lsn) {
+  LOGLOG_RETURN_IF_ERROR(options_status_);
   if (needs_recovery_ && !recovered_) {
     return Status::FailedPrecondition(
         "engine has a stable log but Recover() has not run");
@@ -152,7 +147,16 @@ Status RecoveryEngine::ExecuteInternal(const OperationDesc& op, Lsn* lsn) {
       old_exists[0] = true;
     }
   }
+  return LogAndApply(op, old_exists, std::move(old_values),
+                     std::move(new_values), lsn);
+}
 
+Status RecoveryEngine::LogAndApply(const OperationDesc& op,
+                                   const std::vector<bool>& old_exists,
+                                   std::vector<ObjectValue> old_values,
+                                   std::vector<ObjectValue> new_values,
+                                   Lsn* lsn) {
+  const bool in_txn = txn_scope_ != nullptr;
   std::vector<UndoImage> images;
   uint64_t txn_id = 0;
   Lsn prev_lsn = kInvalidLsn;
@@ -242,33 +246,8 @@ Status RecoveryEngine::ExecuteAdaptive(const OperationDesc& op, Lsn* lsn) {
 
   if (!promote) {
     // W_L: the operation record itself, precomputed results applied.
-    std::vector<UndoImage> images;
-    uint64_t txn_id = 0;
-    Lsn prev_lsn = kInvalidLsn;
-    if (txn_scope_ != nullptr) {
-      txn_id = txn_scope_->txn_id;
-      prev_lsn = txn_scope_->last_lsn;
-      if (!InverseRegistry::Global().Invertible(op, old_exists,
-                                                old_values)) {
-        images.resize(op.writes.size());
-        for (size_t i = 0; i < op.writes.size(); ++i) {
-          images[i].exists = old_exists[i];
-          images[i].value = old_values[i];
-        }
-      }
-    }
-    size_t payload_size = 0;
-    Lsn assigned =
-        log_->AppendOperation(op, txn_id, prev_lsn, images, &payload_size);
-    stats_.op_log_bytes += payload_size;
-    if (lsn != nullptr) *lsn = assigned;
-    if (txn_scope_ != nullptr) {
-      txn_scope_->last_lsn = assigned;
-      txn_scope_->undo->push_back({assigned, op, std::move(images)});
-    }
-    ++stats_.ops_executed;
-    ++stats_.logical_ops;
-    return cache_->ApplyResults(op, assigned, std::move(new_values));
+    return LogAndApply(op, old_exists, std::move(old_values),
+                       std::move(new_values), lsn);
   }
 
   // Promoted: one value-carrying record per write (the Figure 1b shape
@@ -357,21 +336,12 @@ Status RecoveryEngine::MaybeMaintain() {
       ++ops_since_checkpoint_ >= options_.checkpoint_interval_ops) {
     LOGLOG_RETURN_IF_ERROR(Checkpoint());
   }
-  if (compactor_ != nullptr) {
-    // Log-store maintenance: periodic compaction keeps the live prefix
-    // short, and an index-checkpoint cadence (a full checkpoint — the
-    // kIndexCheckpoint record rides it) bounds recovery's rebuild scan
-    // even when op checkpointing is off.
-    if (options_.logstore.compact_interval_ops > 0 &&
-        ++ops_since_compact_ >= options_.logstore.compact_interval_ops) {
-      ops_since_compact_ = 0;
-      LOGLOG_RETURN_IF_ERROR(Compact());
-    }
-    if (options_.logstore.index_checkpoint_interval_ops > 0 &&
-        ++ops_since_index_ckpt_ >=
-            options_.logstore.index_checkpoint_interval_ops) {
-      LOGLOG_RETURN_IF_ERROR(Checkpoint());
-    }
+  // Log-store maintenance: periodic compaction keeps the live prefix
+  // short.
+  if (compactor_ != nullptr && options_.logstore.compact_interval_ops > 0 &&
+      ++ops_since_compact_ >= options_.logstore.compact_interval_ops) {
+    ops_since_compact_ = 0;
+    LOGLOG_RETURN_IF_ERROR(Compact());
   }
   if (options_.cache_capacity_objects > 0) {
     cache_->EvictTo(options_.cache_capacity_objects);
@@ -386,7 +356,6 @@ Status RecoveryEngine::Compact() {
 
 Status RecoveryEngine::Checkpoint() {
   ops_since_checkpoint_ = 0;
-  ops_since_index_ckpt_ = 0;
   // Truncation floor: the oldest active transaction's begin record must
   // stay on the log — its rollback (runtime or as a loser) walks the
   // backchain from there.

@@ -8,6 +8,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "engine/options.h"
+#include "logstore/log_index.h"
 #include "ops/operation.h"
 #include "recovery/recovery_driver.h"
 #include "recovery/txn_undo.h"
@@ -64,6 +65,7 @@ class RecoveryEngine {
   /// Replays the stable log after a crash (analysis + redo passes). Must
   /// be called before Execute when the disk carries a log; a fresh disk
   /// needs no recovery. Idempotent across repeated crashes mid-recovery.
+  /// InvalidArgument (and nothing done) when options().Validate() fails.
   Status Recover(RecoveryStats* stats = nullptr);
 
   /// Installs the backup image Recover() repairs from when its checksum
@@ -76,7 +78,8 @@ class RecoveryEngine {
   /// Executes and logs one operation. Under LoggingMode::kPhysiological,
   /// cross-object logical operations are decomposed into physical writes
   /// whose values are logged (the Figure 1b baseline). Returns the LSN of
-  /// the (last) log record via `lsn` if non-null.
+  /// the (last) log record via `lsn` if non-null. InvalidArgument (and
+  /// nothing done) when options().Validate() fails.
   Status Execute(const OperationDesc& op, Lsn* lsn = nullptr);
 
   /// Latest value of an object (NotFound if absent or deleted).
@@ -99,6 +102,8 @@ class RecoveryEngine {
   Status Compact();
   /// The background compactor (nullptr under kDualWrite).
   Compactor* compactor() { return compactor_.get(); }
+  /// The log-as-database object index (nullptr under kDualWrite).
+  const LogIndex* log_index() const { return log_index_; }
 
   /// Transaction layer hook (set by the TxnManager constructor; nullptr
   /// without one). Checkpoints ask it for the truncation floor so a live
@@ -138,6 +143,12 @@ class RecoveryEngine {
   };
 
   Status ExecuteInternal(const OperationDesc& op, Lsn* lsn);
+  /// Logs an executed operation and applies its results. `old_*` (the
+  /// writeset's prior state) feed before-images inside a transaction.
+  Status LogAndApply(const OperationDesc& op,
+                     const std::vector<bool>& old_exists,
+                     std::vector<ObjectValue> old_values,
+                     std::vector<ObjectValue> new_values, Lsn* lsn);
   /// Adaptive path: classifies each written object through the policy,
   /// logs decision records for class flips, and logs the operation under
   /// the chosen class (W_L as-is; W_P / W_PL as value-carrying records,
@@ -150,6 +161,7 @@ class RecoveryEngine {
   void AppendPolicyDecision(const PolicyDecision& d);
 
   EngineOptions options_;
+  Status options_status_;  // options_.Validate()
   SimulatedDisk* disk_;
   std::unique_ptr<LogManager> log_;
   std::unique_ptr<CacheManager> cache_;
@@ -157,10 +169,10 @@ class RecoveryEngine {
   /// Log-store background compaction (kLogStore backend only; owned here
   /// so its cadence shares MaybeMaintain with checkpointing).
   std::unique_ptr<Compactor> compactor_;
+  const LogIndex* log_index_ = nullptr;  // owned by the cache's target
   EngineStats stats_;
   uint64_t ops_since_checkpoint_ = 0;
   uint64_t ops_since_compact_ = 0;
-  uint64_t ops_since_index_ckpt_ = 0;
   bool recovered_ = false;
   bool needs_recovery_ = false;
   const BackupImage* repair_backup_ = nullptr;

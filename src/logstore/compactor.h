@@ -10,6 +10,7 @@ namespace loglog {
 
 class RecoveryEngine;
 class Counter;
+class LogStoreTarget;
 
 /// Per-compactor lifetime counters (mirrored into logstore.compaction.*
 /// metrics; kept here so benchmarks can read them without a registry).
@@ -31,9 +32,8 @@ struct CompactionStats {
 /// outright — it is either kept (space amplification) or spilled to the
 /// cold tier (read amplification). The compactor bounds both: each
 /// RunOnce re-logs up to `batch` of the oldest live images at the tail
-/// (CacheManager::CompactLogStore) and advances the checkpoint, so
-/// TruncateBefore reclaims real bytes and hot reads stay off the cold
-/// tier.
+/// (MoveOldestImages) and advances the checkpoint, so TruncateBefore
+/// reclaims real bytes and hot reads stay off the cold tier.
 ///
 /// Crash safety is inherited, not implemented: a W_IP rewrite is an
 /// ordinary logged, graph-installed identity operation and the index
@@ -43,7 +43,7 @@ struct CompactionStats {
 /// the compactor racing crashes to hold this.
 class Compactor {
  public:
-  explicit Compactor(RecoveryEngine* engine);
+  Compactor(RecoveryEngine* engine, LogStoreTarget* target);
 
   /// One compaction pass over up to `batch_objects` of the oldest live
   /// index entries, followed by a checkpoint when anything moved.
@@ -53,7 +53,13 @@ class Compactor {
   const CompactionStats& stats() const { return stats_; }
 
  private:
+  /// Re-logs up to `batch` of the oldest live images as W_IP identity
+  /// writes (one force for the batch) and republishes their entries.
+  Status MoveOldestImages(size_t batch, uint64_t* images_moved,
+                          uint64_t* bytes_moved);
+
   RecoveryEngine* engine_;
+  LogStoreTarget* target_;
   CompactionStats stats_;
   Counter* runs_metric_;
   Counter* bytes_metric_;

@@ -1,0 +1,129 @@
+#include "logstore/logstore_target.h"
+
+#include <algorithm>
+#include <unordered_map>
+
+#include "common/retry.h"
+#include "logstore/logstore.h"
+#include "obs/metrics.h"
+
+namespace loglog {
+
+LogStoreTarget::LogStoreTarget(SimulatedDisk* disk, LogManager* log,
+                               bool cold_retention_full)
+    : disk_(disk),
+      log_(log),
+      cold_retention_full_(cold_retention_full),
+      reads_log_(
+          MetricsRegistry::Global().GetCounter(metric::kLogstoreReadsLog)) {}
+
+Status LogStoreTarget::Load(ObjectId id, int io_budget, StoredObject* out) {
+  IndexCheckpointEntry entry;
+  if (!index_.Lookup(id, &entry)) {
+    // The index maps every existing object: a miss IS nonexistence.
+    return Status::NotFound("object not in log index");
+  }
+  std::vector<uint8_t> frame;
+  LOGLOG_RETURN_IF_ERROR(RetryTransientIo(
+      io_budget, &disk_->stats().io_retries, [&] {
+        return disk_->log().ReadStable(entry.offset, entry.size, &frame);
+      }));
+  Slice cursor(frame);
+  LogRecord rec;
+  LOGLOG_RETURN_IF_ERROR(ReadFramedRecord(&cursor, &rec));
+  if (rec.lsn != entry.lsn || !IsFullImageOp(rec.op) ||
+      rec.op.op_class == OpClass::kDelete || rec.op.writes.size() != 1 ||
+      rec.op.writes[0] != id) {
+    return Status::Corruption("log index entry points at a non-image record");
+  }
+  reads_log_->Inc();
+  out->value = std::move(rec.op.params);
+  out->vsi = entry.lsn;
+  return Status::OK();
+}
+
+Status LogStoreTarget::InstallSet(const std::vector<ObjectWrite>& writes,
+                                  CacheStats*) {
+  // The forced records ARE the stable images: publishing is installing.
+  for (const ObjectWrite& w : writes) {
+    LOGLOG_RETURN_IF_ERROR(Publish(w));
+  }
+  return Status::OK();
+}
+
+Status LogStoreTarget::Publish(const ObjectWrite& w) {
+  if (w.erase) {
+    index_.Erase(w.id);
+    return Status::OK();
+  }
+  uint64_t off = 0;
+  uint64_t sz = 0;
+  if (!log_->StableExtentOf(w.vsi, &off, &sz)) {
+    return Status::Corruption("published image has no stable extent");
+  }
+  index_.Publish(w.id, w.vsi, off, sz);
+  return Status::OK();
+}
+
+Lsn LogStoreTarget::BeginCheckpoint() {
+  // Recovery's rebuild starts from this snapshot, so the checkpoint's
+  // truncation must keep it.
+  LogRecord idx;
+  idx.type = RecordType::kIndexCheckpoint;
+  idx.index_entries = index_.Snapshot();
+  MetricsRegistry::Global()
+      .GetCounter(metric::kLogstoreIndexCheckpoints)
+      ->Inc();
+  return log_->Append(std::move(idx));
+}
+
+void LogStoreTarget::EndCheckpoint() {
+  // The truncation ignored LogIndex::MinLsn: live images below it stay
+  // readable in the cold tier. Archive GC (opt-in) releases cold segments
+  // wholly below the oldest live image; compaction advances that bound.
+  if (cold_retention_full_) return;
+  uint64_t min_live = disk_->log().start_offset();
+  for (const IndexCheckpointEntry& e : index_.Snapshot()) {
+    min_live = std::min(min_live, e.offset);
+  }
+  disk_->log().ReclaimColdBelow(min_live);
+}
+
+LogScanFn LogStoreTarget::BeginLogScan() {
+  // Start from the newest kIndexCheckpoint snapshot, then apply only
+  // publishes a later kInstall record evidences, pairing each installed
+  // object with its last full-image record (the install path guarantees
+  // that is its last writer). The redo tests assume the rebuilt index is
+  // an installed state, so an unevidenced publish (a lost lazy install
+  // record) is not applied: it only costs extra redo.
+  struct Image {
+    IndexCheckpointEntry entry;
+    bool tombstone = false;
+  };
+  index_.Clear();
+  return [this, images = std::unordered_map<ObjectId, Image>()](
+             const LogRecord& rec, uint64_t offset, uint64_t size) mutable {
+    if (rec.type == RecordType::kIndexCheckpoint) {
+      index_.Reset(rec.index_entries);
+    } else if ((rec.type == RecordType::kOperation ||
+                rec.type == RecordType::kCompensation) &&
+               IsFullImageOp(rec.op) && !rec.op.writes.empty()) {
+      ObjectId id = rec.op.writes[0];
+      images[id] = Image{IndexCheckpointEntry{id, rec.lsn, offset, size},
+                         rec.op.op_class == OpClass::kDelete};
+    } else if (rec.type == RecordType::kInstall) {
+      for (const InstallEntry& ie : rec.installed_vars) {
+        auto it = images.find(ie.id);
+        if (it == images.end()) continue;
+        const IndexCheckpointEntry& e = it->second.entry;
+        if (it->second.tombstone) {
+          index_.Erase(ie.id);
+        } else {
+          index_.Publish(ie.id, e.lsn, e.offset, e.size);
+        }
+      }
+    }
+  };
+}
+
+}  // namespace loglog

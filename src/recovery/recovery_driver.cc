@@ -9,7 +9,6 @@
 #include "adapt/adaptive_policy.h"
 #include "backup/media_recovery.h"
 #include "common/retry.h"
-#include "logstore/logstore.h"
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "obs/json.h"
@@ -226,60 +225,19 @@ Status RecoveryDriver::RunPhases(RecoveryStats* stats) {
   // readers/writesets), not the log length.
   AnalysisBuilder builder;
   Lsn next_lsn = 1;
-  // Log-store index rebuild rides the same streaming walk. The rebuilt
-  // index must be a faithful *installed* state (the redo tests and the
-  // void-on-newer-read rule both assume the base state is some
-  // explanation of installed operations): start from the last
-  // kIndexCheckpoint snapshot, then apply only publishes evidenced by a
-  // later kInstall record — pairing each installed object with the last
-  // full-image record seen for it (the install path guarantees that
-  // record is the object's last writer). Unevidenced publishes (a lost
-  // lazy install record) just mean extra redo, never wrong state.
-  const bool logstore = cm_->backend() == StorageBackend::kLogStore;
-  LogIndex* index = logstore ? &cm_->log_index() : nullptr;
-  if (logstore) index->Clear();
-  struct ShadowImage {
-    IndexCheckpointEntry entry;
-    bool tombstone = false;
-  };
-  std::unordered_map<ObjectId, ShadowImage> images;
   {
     TraceSpan span("recovery.log_scan", "recovery");
+    // The install target's volatile state (the log store's index) is
+    // rebuilt from the same streaming walk.
+    LogScanFn rebuild = cm_->target().BeginLogScan();
     LogCursor cursor(disk_->log());
     LogRecord rec;
     while (cursor.Next(&rec)) {
       ++stats->log_records_total;
       builder.Add(rec);
-      if (!logstore) continue;
-      switch (rec.type) {
-        case RecordType::kIndexCheckpoint:
-          index->Reset(rec.index_entries);
-          break;
-        case RecordType::kOperation:
-        case RecordType::kCompensation:
-          if (IsFullImageOp(rec.op) && !rec.op.writes.empty()) {
-            ShadowImage& img = images[rec.op.writes[0]];
-            img.entry.id = rec.op.writes[0];
-            img.entry.lsn = rec.lsn;
-            img.entry.offset = cursor.record_offset();
-            img.entry.size = cursor.valid_end() - cursor.record_offset();
-            img.tombstone = rec.op.op_class == OpClass::kDelete;
-          }
-          break;
-        case RecordType::kInstall:
-          for (const InstallEntry& ie : rec.installed_vars) {
-            auto it = images.find(ie.id);
-            if (it == images.end()) continue;
-            if (it->second.tombstone) {
-              index->Erase(ie.id);
-            } else {
-              index->Publish(ie.id, it->second.entry.lsn,
-                             it->second.entry.offset, it->second.entry.size);
-            }
-          }
-          break;
-        default:
-          break;
+      if (rebuild) {
+        rebuild(rec, cursor.record_offset(),
+                cursor.valid_end() - cursor.record_offset());
       }
     }
     LOGLOG_RETURN_IF_ERROR(cursor.status());
@@ -369,11 +327,7 @@ Status RecoveryDriver::RunPhases(RecoveryStats* stats) {
   // after the start plus committed flush transactions — and hands it to
   // the partitioned worker pool. The scan-order counters are identical
   // either way because they are decided here, before dispatch.
-  // Parallel redo partitions over stable-store base images; under the
-  // log-store backend the base lives behind the rebuilt log index (a
-  // shared, faulting read path), so redo stays serial there.
-  const bool parallel = redo_threads_ > 1 &&
-                        cm_->backend() != StorageBackend::kLogStore;
+  const bool parallel = redo_threads_ > 1;
   TraceSpan redo_span("recovery.redo", "recovery",
                       {{"mode", parallel ? "parallel" : "serial"}});
   // Live progress: total grows with the scan, done/redone/bytes advance
@@ -483,7 +437,7 @@ Status RecoveryDriver::RunPhases(RecoveryStats* stats) {
       case RecordType::kTxnBegin:
       case RecordType::kTxnCommit:
       case RecordType::kTxnAbort:
-        break;  // consumed by analysis (index rebuild happened in pass 1)
+        break;  // consumed by analysis (and the target rebuild in pass 1)
     }
   }
   LOGLOG_RETURN_IF_ERROR(cursor.status());

@@ -150,11 +150,13 @@ Status DivergenceAuditor::CompareEngineReads(RecoveryEngine* engine,
            std::to_string(exp.last_writer) + ")");
     }
   }
-  for (const IndexCheckpointEntry& e :
-       engine->cache().log_index().Snapshot()) {
-    if (!expected_.contains(e.id)) {
-      ++out->extra_objects;
-      note("log index has unexpected object " + std::to_string(e.id));
+  const LogIndex* index = engine->log_index();
+  if (index != nullptr) {
+    for (const IndexCheckpointEntry& e : index->Snapshot()) {
+      if (!expected_.contains(e.id)) {
+        ++out->extra_objects;
+        note("log index has unexpected object " + std::to_string(e.id));
+      }
     }
   }
   if (!out->clean()) {

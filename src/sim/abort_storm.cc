@@ -323,13 +323,15 @@ Status RunAbortStormInner(const AbortStormOptions& options,
                           AbortStormStats* stats, StormObservability* obs) {
   *stats = AbortStormStats{};
   ScopedThreadName thread_name("abort-storm-driver");
-  EngineOptions engine_options = options.engine;
   // See AbortStormOptions::engine: identity-write installs log cache
   // values that may embed uncommitted effects, which repeat-history
   // replay handles but the committed-only oracle must never see.
-  engine_options.flush_policy = FlushPolicy::kNativeAtomic;
+  if (options.engine.flush_policy != FlushPolicy::kNativeAtomic) {
+    return Status::InvalidArgument(
+        "abort storm requires flush_policy kNativeAtomic");
+  }
 
-  CrashHarness harness(engine_options, options.seed);
+  CrashHarness harness(options.engine, options.seed);
   Random rng(options.seed * 0x9e3779b97f4a7c15 + 2);
   MixedWorkloadOptions wl_opts = options.workload;
   wl_opts.seed = options.seed;
@@ -351,7 +353,7 @@ Status RunAbortStormInner(const AbortStormOptions& options,
         iter % options.standby_audit_every ==
             options.standby_audit_every - 1) {
       LOGLOG_RETURN_IF_ERROR(RunStandbyAuditRound(
-          &harness, &workload, &rng, engine_options, stats));
+          &harness, &workload, &rng, options.engine, stats));
     }
 
     if (options.faults) {

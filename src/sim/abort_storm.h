@@ -13,12 +13,12 @@ namespace loglog {
 
 /// Configuration of one abort-storm run.
 struct AbortStormOptions {
-  /// The storm forces flush_policy = kNativeAtomic regardless of what is
-  /// set here: identity-write installation logs the *cache* value of an
-  /// object, which may embed effects of a transaction that later aborts.
-  /// That is correct for repeat-history recovery (the CLR undoes it), but
-  /// it would poison the committed-only serial oracle, whose whole point
-  /// is replaying no loser effect at all.
+  /// flush_policy must be kNativeAtomic, not the default (the storm
+  /// returns InvalidArgument otherwise). Identity-write installation logs
+  /// the *cache* value of an object, which may embed effects of a
+  /// transaction that later aborts: correct for repeat-history recovery
+  /// (the CLR undoes it), but poison for the committed-only serial oracle,
+  /// whose whole point is replaying no loser effect at all.
   EngineOptions engine;
   MixedWorkloadOptions workload;
   uint64_t seed = 42;

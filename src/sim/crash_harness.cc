@@ -84,8 +84,7 @@ Status CrashHarness::VerifyAgainstReference() {
                                   " diverges from reference");
       }
     }
-    for (const IndexCheckpointEntry& e :
-         engine_->cache().log_index().Snapshot()) {
+    for (const IndexCheckpointEntry& e : engine_->log_index()->Snapshot()) {
       if (!ref.Exists(e.id)) {
         return Status::Corruption("log index holds deleted/unknown object " +
                                   std::to_string(e.id));

@@ -105,7 +105,7 @@ constexpr StormConfig kConfigs[] = {
     // cold-tier faulted reads once truncation has spilled segments).
     {"LogStore", LoggingMode::kLogical, GraphKind::kRefined,
      FlushPolicy::kNativeAtomic, RedoTestKind::kVsi, 1011,
-     /*redo_threads=*/2, ForcePolicy::kImmediate, /*adaptive=*/false,
+     /*redo_threads=*/1, ForcePolicy::kImmediate, /*adaptive=*/false,
      /*budget=*/0, StorageBackend::kLogStore},
     // Same, with the background compactor racing the crash/fault mix:
     // W_IP rewrite batches and their index republishes must be crash-
@@ -205,8 +205,9 @@ class AbortStormTest : public testing::TestWithParam<AbortStormConfig> {};
 TEST_P(AbortStormTest, EquivalentToSerialOracle) {
   const AbortStormConfig& cfg = GetParam();
   AbortStormOptions options;
-  // Purge aggressively so installs land inside transactional bursts (the
-  // storm forces native-atomic installation; see AbortStormOptions).
+  // The storm requires native-atomic installation (see AbortStormOptions).
+  options.engine.flush_policy = FlushPolicy::kNativeAtomic;
+  // Purge aggressively so installs land inside transactional bursts.
   options.engine.purge_threshold_ops = 12;
   options.seed = cfg.seed;
   options.iterations = g_storm_iters;

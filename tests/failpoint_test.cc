@@ -74,15 +74,13 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Crash after the WAL force but before any flush: pure redo territory.
-// Armed through the legacy set_fail_point shim, which must keep working
-// (it maps onto the registry).
 TEST(FailPointTest, CrashAfterWalForceRedoesEverything) {
   EngineOptions opts;
   opts.purge_threshold_ops = 0;
   CrashHarness harness(opts, 78);
   ASSERT_TRUE(harness.Execute(MakeCreate(1, "payload")).ok());
-  harness.engine().cache().set_fail_point(
-      CacheManager::FailPoint::kAfterWalForce);
+  harness.disk().fault_injector().Arm(fault::kCmAfterWalForce,
+                                      FaultSpec::CrashOnce());
   EXPECT_TRUE(harness.disk().fault_injector().armed(fault::kCmAfterWalForce));
   ASSERT_TRUE(harness.engine().PurgeOne().IsAborted());
   EXPECT_FALSE(harness.disk().store().Exists(1));

@@ -48,7 +48,7 @@ TEST(LogStoreTest, StoreStaysEmptyAndReadsServeFromLog) {
 
   // The defining property: installation happened, yet the store is empty.
   EXPECT_EQ(disk.store().object_count(), 0u);
-  EXPECT_EQ(engine.cache().log_index().size(), 2u);
+  EXPECT_EQ(engine.log_index()->size(), 2u);
 
   // Cache-hit reads first, then evict everything and force the log path.
   ObjectValue v;
@@ -63,16 +63,63 @@ TEST(LogStoreTest, StoreStaysEmptyAndReadsServeFromLog) {
   EXPECT_FALSE(engine.Exists(99));
 }
 
-TEST(LogStoreTest, RedoTestAlwaysIsForcedToVsi) {
-  // kAlways redo consults the stable store's manifest, which kLogStore
-  // never writes; the engine silently upgrades to the vSI test.
-  EngineOptions opts = LogStoreOpts();
-  opts.redo_test = RedoTestKind::kAlways;
-  opts.log_installs = false;  // also forced: rebuild needs the evidence
-  SimulatedDisk disk;
-  RecoveryEngine engine(opts, &disk);
-  EXPECT_EQ(engine.options().redo_test, RedoTestKind::kVsi);
-  EXPECT_TRUE(engine.options().log_installs);
+// kLogStore rejects three option settings with InvalidArgument from both
+// Recover() and Execute(); nothing is ever rewritten, so options() is
+// exactly what the caller passed, whether accepted or not.
+struct OptionCase {
+  const char* name;
+  StorageBackend backend;
+  RedoTestKind redo_test;
+  bool log_installs;
+  int redo_threads;
+  bool valid;
+};
+
+constexpr OptionCase kOptionCases[] = {
+    {"LogStoreRsi", StorageBackend::kLogStore, RedoTestKind::kRsiGeneralized,
+     true, 1, true},
+    {"LogStoreVsi", StorageBackend::kLogStore, RedoTestKind::kVsi, true, 1,
+     true},
+    {"LogStoreFixpoint", StorageBackend::kLogStore,
+     RedoTestKind::kRsiFixpoint, true, 0, true},
+    {"LogStoreAlways", StorageBackend::kLogStore, RedoTestKind::kAlways,
+     true, 1, false},
+    {"LogStoreNoInstallLog", StorageBackend::kLogStore, RedoTestKind::kVsi,
+     false, 1, false},
+    {"LogStoreParallelRedo", StorageBackend::kLogStore, RedoTestKind::kVsi,
+     true, 2, false},
+    // The same settings are fine on the dual-write backend.
+    {"DualWriteAll", StorageBackend::kDualWrite, RedoTestKind::kAlways,
+     false, 4, true},
+};
+
+TEST(LogStoreTest, InvalidOptionCombinationsAreRejected) {
+  for (const OptionCase& c : kOptionCases) {
+    SCOPED_TRACE(c.name);
+    EngineOptions opts = LogStoreOpts();
+    opts.backend = c.backend;
+    opts.redo_test = c.redo_test;
+    opts.log_installs = c.log_installs;
+    opts.recovery.redo_threads = c.redo_threads;
+    EXPECT_EQ(opts.Validate().ok(), c.valid);
+    SimulatedDisk disk;
+    RecoveryEngine engine(opts, &disk);
+    EXPECT_EQ(engine.options().backend, c.backend);
+    EXPECT_EQ(engine.options().redo_test, c.redo_test);
+    EXPECT_EQ(engine.options().log_installs, c.log_installs);
+    EXPECT_EQ(engine.options().recovery.redo_threads, c.redo_threads);
+    EXPECT_EQ(engine.options().flush_policy, opts.flush_policy);
+    Status recover = engine.Recover();
+    Status execute = engine.Execute(MakeCreate(1, "x"));
+    if (c.valid) {
+      EXPECT_TRUE(recover.ok()) << recover.ToString();
+      EXPECT_TRUE(execute.ok()) << execute.ToString();
+    } else {
+      EXPECT_TRUE(recover.IsInvalidArgument()) << recover.ToString();
+      EXPECT_TRUE(execute.IsInvalidArgument()) << execute.ToString();
+      EXPECT_EQ(disk.log().retained_bytes(), 0u);
+    }
+  }
 }
 
 TEST(LogStoreTest, IndexRebuildAfterCrash) {
@@ -104,7 +151,7 @@ TEST(LogStoreTest, IndexRebuildAfterCrash) {
   ASSERT_TRUE(engine->Read(3, &v).ok());
   EXPECT_EQ(v, Val("one"));
   ASSERT_TRUE(engine->FlushAll().ok());
-  EXPECT_EQ(engine->cache().log_index().size(), 3u);
+  EXPECT_EQ(engine->log_index()->size(), 3u);
 }
 
 TEST(LogStoreTest, DeleteRetiresIndexEntry) {
@@ -118,8 +165,8 @@ TEST(LogStoreTest, DeleteRetiresIndexEntry) {
 
   EXPECT_FALSE(engine->Exists(7));
   IndexCheckpointEntry entry;
-  EXPECT_FALSE(engine->cache().log_index().Lookup(7, &entry));
-  EXPECT_TRUE(engine->cache().log_index().Lookup(8, &entry));
+  EXPECT_FALSE(engine->log_index()->Lookup(7, &entry));
+  EXPECT_TRUE(engine->log_index()->Lookup(8, &entry));
 
   engine.reset();
   engine = std::make_unique<RecoveryEngine>(LogStoreOpts(), &disk);
@@ -171,7 +218,7 @@ TEST(LogStoreTest, CompactionMovesImagesForwardAndPreservesReads) {
   }
   ASSERT_TRUE(engine.FlushAll().ok());
   ASSERT_TRUE(engine.Checkpoint().ok());
-  Lsn oldest_before = engine.cache().log_index().MinLsn();
+  Lsn oldest_before = engine.log_index()->MinLsn();
 
   // Two passes move all 16 live images to the tail; each pass checkpoints
   // so truncation chases the rewritten minimum.
@@ -180,7 +227,7 @@ TEST(LogStoreTest, CompactionMovesImagesForwardAndPreservesReads) {
   ASSERT_NE(engine.compactor(), nullptr);
   EXPECT_EQ(engine.compactor()->stats().images_moved, 16u);
   EXPECT_GT(engine.compactor()->stats().bytes_moved, 0u);
-  EXPECT_GT(engine.cache().log_index().MinLsn(), oldest_before);
+  EXPECT_GT(engine.log_index()->MinLsn(), oldest_before);
 
   // Read equivalence after compaction, through a cold cache.
   engine.cache().EvictTo(0);

@@ -547,7 +547,7 @@ int RunLogstoreStats(const InspectOptions& opts) {
   if (!(st = engine.FlushAll()).ok()) return fail("flush", st);
   if (!(st = engine.Checkpoint()).ok()) return fail("checkpoint", st);
 
-  const LogIndex& index = engine.cache().log_index();
+  const LogIndex& index = *engine.log_index();
   const StableLogDevice& dev = disk.log();
   const ColdTier& cold = dev.cold_tier();
   const CompactionStats& comp = engine.compactor()->stats();
