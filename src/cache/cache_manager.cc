@@ -74,7 +74,7 @@ Status CacheManager::GetValue(ObjectId id, ObjectValue* out,
   } else if (!obj->exists) {
     return Status::NotFound("object deleted");
   } else {
-    obj->last_access = ++access_clock_;
+    table_.Touch(obj);
   }
   *out = obj->value;
   return Status::OK();
@@ -93,9 +93,8 @@ Status CacheManager::FaultIn(ObjectId id, int io_budget, CachedObject** out) {
   obj.value = std::move(stored.value);
   obj.vsi = stored.vsi;
   obj.rsi = kInvalidLsn;
-  obj.dirty = false;
   obj.exists = true;
-  obj.last_access = ++access_clock_;
+  table_.Touch(&obj);
   // An installed version is a full image by construction.
   obj.last_full_image = true;
   *out = &obj;
@@ -134,8 +133,8 @@ Status CacheManager::ApplyResults(const OperationDesc& op, Lsn lsn,
     }
     obj.vsi = lsn;
     if (obj.rsi == kInvalidLsn) obj.rsi = lsn;
-    obj.dirty = true;
-    obj.last_access = ++access_clock_;
+    table_.SetDirty(&obj, true);
+    table_.Touch(&obj);
     obj.last_full_image = IsFullImageOp(op);
     ++obj.writes_since_clean;
     if (auto_hot_threshold_ > 0 &&
@@ -193,7 +192,7 @@ Status CacheManager::InjectIdentityWrite(ObjectId id) {
   blind.lsn = LogIdentityWrite(id, obj);
   blind.writes = {id};
   blind.blind = {id};
-  obj->last_access = ++access_clock_;
+  table_.Touch(obj);
   graph_->AddOperation(blind);
   return Status::OK();
 }
@@ -263,31 +262,21 @@ Status CacheManager::PurgeOne(bool allow_hot_flush) {
   // so the minimal node is re-chosen every round. Progress: every
   // iteration either removes a node or strictly shrinks some vars set.
   for (int guard = 0; guard < 1 << 20; ++guard) {
-    // Choose the minimal node with the oldest operation, preferring (when
-    // hot objects are protected) nodes whose flush set is not hot-only.
-    NodeId v = kNoNode;
-    NodeId hot_only_candidate = kNoNode;
-    Lsn best = kMaxLsn, best_hot = kMaxLsn;
-    for (NodeId id : graph_->MinimalNodes()) {
-      const GraphNode* n = graph_->Find(id);
-      if (!allow_hot_flush && !n->vars.empty() && AllHot(*n)) {
-        if (n->MinOpLsn() < best_hot) {
-          best_hot = n->MinOpLsn();
-          hot_only_candidate = id;
-        }
-      } else if (n->MinOpLsn() < best) {
-        best = n->MinOpLsn();
-        v = id;
-      }
-    }
+    // Choose the minimal node with the oldest operation, skipping (when
+    // hot objects are protected) nodes whose flush set is hot-only.
+    bool hot_only_seen = false;
+    NodeId v = graph_->OldestMinimalNode([&](const GraphNode& n) {
+      if (allow_hot_flush || n.vars.empty() || !AllHot(n)) return true;
+      hot_only_seen = true;
+      return false;
+    });
     if (v == kNoNode) {
       // Only hot-only nodes remain. Automatic purging defers them: they
       // stay cached and uninstalled until FlushAll, an explicit
       // PurgeOne(true), or Checkpoint (which installs them by logging —
       // Section 4's install-without-flush).
-      return Status::NotFound(hot_only_candidate == kNoNode
-                                  ? "nothing to install"
-                                  : "only hot flush sets remain");
+      return Status::NotFound(hot_only_seen ? "only hot flush sets remain"
+                                            : "nothing to install");
     }
     const GraphNode* node = graph_->Find(v);
     if (node->vars.size() <= target_->MaxFlushSet()) return InstallNode(v);
@@ -379,10 +368,10 @@ Status CacheManager::InstallNode(NodeId v) {
     assert(obj != nullptr);
     Lsn rsi = graph_->FirstUninstalledWriter(x);
     obj->rsi = rsi;
-    obj->dirty = (rsi != kInvalidLsn);
-    if (!obj->dirty) Cool(x, obj);
+    table_.SetDirty(obj, rsi != kInvalidLsn);
+    if (!obj->dirty()) Cool(x, obj);
     installed_vars.push_back(InstallEntry{x, rsi});
-    if (!obj->exists && !obj->dirty) {
+    if (!obj->exists && !obj->dirty()) {
       // Installed delete: the object leaves the object table.
       table_.Erase(x);
     }
@@ -394,7 +383,7 @@ Status CacheManager::InstallNode(NodeId v) {
     // Unexposed objects stay dirty: the cached version was produced by a
     // later (uninstalled) blind write and has not been flushed.
     obj->rsi = rsi;
-    obj->dirty = true;
+    table_.SetDirty(obj, true);
     installed_notx.push_back(InstallEntry{x, rsi});
   }
   LogInstall(std::move(installed_vars), std::move(installed_notx));
@@ -418,7 +407,7 @@ Status CacheManager::FlushAll() {
   // stands.
   std::vector<ObjectId> dirty;
   table_.ForEach([&](ObjectId id, CachedObject& obj) {
-    if (obj.dirty) dirty.push_back(id);
+    if (obj.dirty()) dirty.push_back(id);
   });
   for (ObjectId id : dirty) {
     CachedObject* obj = table_.Find(id);
@@ -426,7 +415,7 @@ Status CacheManager::FlushAll() {
     LOGLOG_RETURN_IF_ERROR(log_->Force(obj->vsi));
     LOGLOG_RETURN_IF_ERROR(target_->WriteBack(
         ObjectWrite{id, Slice(obj->value), obj->vsi, !obj->exists}));
-    obj->dirty = false;
+    table_.SetDirty(obj, false);
     obj->rsi = kInvalidLsn;
     Cool(id, obj);
     if (target_->NeedsInstallEvidence()) {
@@ -616,7 +605,7 @@ Status CacheManager::CheckInvariants() {
   table_.ForEach([&](ObjectId id, const CachedObject& obj) {
     if (!out.ok()) return;
     Lsn first = graph_->FirstUninstalledWriter(id);
-    if (obj.dirty && obj.rsi == kInvalidLsn) {
+    if (obj.dirty() && obj.rsi == kInvalidLsn) {
       out = Status::Corruption("dirty object without rSI");
     }
     if (first != kInvalidLsn && obj.rsi == kInvalidLsn) {

@@ -244,7 +244,6 @@ class CacheManager {
   bool log_installs_;
   std::unique_ptr<InstallTarget> target_;
   CacheStats stats_;
-  uint64_t access_clock_ = 0;
   std::set<ObjectId> hot_;
   std::set<ObjectId> auto_hot_;
   uint64_t auto_hot_threshold_ = 0;

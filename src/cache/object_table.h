@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -22,12 +24,8 @@ struct CachedObject {
   /// lSI of the earliest operation whose redo is needed to rebuild the
   /// cached version from the stable version; kInvalidLsn when clean.
   Lsn rsi = kInvalidLsn;
-  /// Cached version differs from the stable version.
-  bool dirty = false;
   /// False after a delete executed but before it installed (tombstone).
   bool exists = true;
-  /// Monotone access stamp for clean-eviction ordering.
-  uint64_t last_access = 0;
   /// Writes since the object was last flushed clean (hotness signal).
   uint64_t writes_since_clean = 0;
   /// The cached version's producing record is a full image (see
@@ -35,19 +33,42 @@ struct CachedObject {
   /// such versions; anything else is first re-logged as a W_IP identity
   /// write (InstallTarget::Installable).
   bool last_full_image = false;
+
+  /// Cached version differs from the stable version (set through
+  /// ObjectTable::SetDirty, which keeps the eviction order).
+  bool dirty() const { return dirty_; }
+  /// Access stamp for clean-eviction ordering (ObjectTable::Touch).
+  uint64_t last_access() const { return last_access_; }
+
+ private:
+  friend class ObjectTable;
+  ObjectId id_ = kInvalidObjectId;
+  bool dirty_ = false;
+  uint64_t last_access_ = 0;
 };
 
 /// \brief The volatile object table: every object currently cached,
 /// dirty or clean.
+///
+/// Clean objects are also kept ordered by (last_access, id), so the
+/// eviction victim is found in O(log n) instead of by a table scan; the
+/// table owns the access clock and the dirty flag to keep that order
+/// exact.
 class ObjectTable {
  public:
   CachedObject* Find(ObjectId id);
   const CachedObject* Find(ObjectId id) const;
+  /// A new entry starts clean with access stamp 0.
   CachedObject& GetOrCreate(ObjectId id);
-  void Erase(ObjectId id) { objects_.erase(id); }
+  void Erase(ObjectId id);
+
+  /// Stamps `obj` as the most recently used object.
+  void Touch(CachedObject* obj);
+  /// Marks `obj` dirty (never an eviction victim) or clean.
+  void SetDirty(CachedObject* obj, bool dirty);
 
   size_t size() const { return objects_.size(); }
-  size_t dirty_count() const;
+  size_t dirty_count() const { return objects_.size() - clean_.size(); }
 
   /// Snapshot of the dirty object table for a checkpoint record: every
   /// dirty object with its rSI (Section 5).
@@ -57,11 +78,15 @@ class ObjectTable {
   void ForEach(
       const std::function<void(ObjectId, const CachedObject&)>& fn) const;
 
-  /// Id of the least-recently-used *clean* object, or kInvalidObjectId.
+  /// Id of the least-recently-used *clean* object (ties by id), or
+  /// kInvalidObjectId. O(1).
   ObjectId OldestClean() const;
 
  private:
   std::unordered_map<ObjectId, CachedObject> objects_;
+  /// Clean objects as (last_access, id), oldest first.
+  std::set<std::pair<uint64_t, ObjectId>> clean_;
+  uint64_t access_clock_ = 0;
 };
 
 }  // namespace loglog

@@ -34,7 +34,11 @@ RecoveryEngine::RecoveryEngine(const EngineOptions& options,
   needs_recovery_ = disk_->log().retained_bytes() > 0;
 }
 
-RecoveryEngine::~RecoveryEngine() = default;
+RecoveryEngine::~RecoveryEngine() {
+  // A manager that outlives the engine (a simulated crash) must not
+  // reach back into it.
+  if (txn_manager_ != nullptr) txn_manager_->engine_ = nullptr;
+}
 
 Status RecoveryEngine::Recover(RecoveryStats* stats) {
   LOGLOG_RETURN_IF_ERROR(options_status_);

@@ -13,7 +13,9 @@ TxnManager::TxnManager(RecoveryEngine* engine) : engine_(engine) {
 }
 
 TxnManager::~TxnManager() {
-  if (engine_->txn_manager() == this) engine_->set_txn_manager(nullptr);
+  if (engine_ != nullptr && engine_->txn_manager() == this) {
+    engine_->set_txn_manager(nullptr);
+  }
 }
 
 Status TxnManager::Begin(TxnId* id) {

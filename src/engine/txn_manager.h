@@ -51,7 +51,9 @@ class TxnManager {
  public:
   /// Registers with the engine (checkpoint truncation clamps at the
   /// oldest active transaction's begin LSN, and new txn ids continue
-  /// above the highest id recovery saw on the log).
+  /// above the highest id recovery saw on the log). An engine destroyed
+  /// first (a simulated crash) detaches its manager; after that only the
+  /// stats accessors and the destructor may be called.
   explicit TxnManager(RecoveryEngine* engine);
   ~TxnManager();
 
@@ -91,6 +93,8 @@ class TxnManager {
   const TxnUndoStats& undo_stats() const { return undo_stats_; }
 
  private:
+  friend class RecoveryEngine;
+
   struct Txn {
     Lsn begin_lsn = kInvalidLsn;
     Lsn last_lsn = kInvalidLsn;  // backchain head

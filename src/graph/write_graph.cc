@@ -9,6 +9,7 @@ NodeId WriteGraph::NewNode() {
   NodeId id = next_node_id_++;
   GraphNode& n = nodes_[id];
   n.id = id;
+  Source(n);
   return id;
 }
 
@@ -18,17 +19,36 @@ GraphNode& WriteGraph::Node(NodeId id) {
   return it->second;
 }
 
+const GraphNode& WriteGraph::Node(NodeId id) const {
+  auto it = nodes_.find(id);
+  assert(it != nodes_.end());
+  return it->second;
+}
+
+void WriteGraph::Source(const GraphNode& n) {
+  if (n.preds.empty()) sources_.emplace(n.MinOpLsn(), n.id);
+}
+
+void WriteGraph::Unsource(const GraphNode& n) {
+  if (n.preds.empty()) sources_.erase({n.MinOpLsn(), n.id});
+}
+
 void WriteGraph::AddEdge(NodeId from, NodeId to) {
   if (from == to || from == kNoNode || to == kNoNode) return;
-  Node(from).succs.insert(to);
-  Node(to).preds.insert(from);
-  dirty_ = true;
+  if (!Node(from).succs.insert(to).second) return;  // already there
+  GraphNode& t = Node(to);
+  Unsource(t);
+  t.preds.insert(from);
+  // Any cycle the edge closes runs through `to`.
+  cycle_suspects_.push_back(to);
 }
 
 void WriteGraph::MergeInto(NodeId dst, NodeId src) {
   if (dst == src) return;
   GraphNode& d = Node(dst);
   GraphNode& s = Node(src);
+  Unsource(d);
+  Unsource(s);
   ++stats_.merges;
   for (Lsn lsn : s.ops) {
     d.ops.insert(lsn);
@@ -57,14 +77,19 @@ void WriteGraph::MergeInto(NodeId dst, NodeId src) {
     }
   }
   nodes_.erase(src);
-  dirty_ = true;
+  Source(d);
+  // A path between the two nodes becomes a cycle through `dst`.
+  cycle_suspects_.push_back(dst);
 }
 
 void WriteGraph::TrackOp(const PendingOp& op, NodeId node) {
   ++stats_.ops_added;
   pending_ops_[op.lsn] = op;
   op_node_[op.lsn] = node;
-  Node(node).ops.insert(op.lsn);
+  GraphNode& n = Node(node);
+  Unsource(n);
+  n.ops.insert(op.lsn);
+  Source(n);
   for (ObjectId r : op.reads) {
     ObjectState& st = objects_[r];
     st.readers.insert(op.lsn);
@@ -81,8 +106,52 @@ void WriteGraph::TrackOp(const PendingOp& op, NodeId node) {
 }
 
 void WriteGraph::Normalize() {
-  if (!dirty_) return;
-  dirty_ = false;
+  if (cycle_suspects_.empty()) return;
+  // The graph was acyclic at the last Normalize, and every cycle since
+  // runs through a suspect; if none reaches itself there is none.
+  if (cycle_suspects_.size() > nodes_.size() ||
+      CycleReachableFromSuspects()) {
+    CollapseCycles();
+  }
+  cycle_suspects_.clear();
+}
+
+bool WriteGraph::CycleReachableFromSuspects() const {
+  // Three-colour DFS from every suspect, colours shared across roots:
+  // each node and edge reachable from the suspects is visited once.
+  enum : uint8_t { kOnPath, kDone };
+  struct Frame {
+    NodeId v;
+    std::set<NodeId>::const_iterator next, end;
+  };
+  std::unordered_map<NodeId, uint8_t> colour;
+  std::vector<Frame> path;
+  for (NodeId s : cycle_suspects_) {
+    auto it = nodes_.find(s);
+    if (it == nodes_.end()) continue;  // merged away or installed since
+    if (!colour.try_emplace(s, kOnPath).second) continue;
+    path.push_back({s, it->second.succs.begin(), it->second.succs.end()});
+    while (!path.empty()) {
+      Frame& f = path.back();
+      if (f.next == f.end) {
+        colour[f.v] = kDone;
+        path.pop_back();
+        continue;
+      }
+      NodeId w = *f.next++;
+      auto [cit, fresh] = colour.try_emplace(w, kOnPath);
+      if (!fresh) {
+        if (cit->second == kOnPath) return true;  // back edge: a cycle
+        continue;
+      }
+      const GraphNode& n = Node(w);
+      path.push_back({w, n.succs.begin(), n.succs.end()});
+    }
+  }
+  return false;
+}
+
+void WriteGraph::CollapseCycles() {
   // Iterative Tarjan SCC; collapse components of size > 1 (the second
   // collapse of Figure 3, applied equally to rW per Section 3).
   std::unordered_map<NodeId, int> index, lowlink;
@@ -151,29 +220,29 @@ void WriteGraph::Normalize() {
     NodeId dst = comp[0];
     for (size_t i = 1; i < comp.size(); ++i) MergeInto(dst, comp[i]);
   }
-  dirty_ = false;  // MergeInto re-set it; the result is acyclic.
+  cycle_suspects_.clear();  // MergeInto added some; the result is acyclic.
 }
 
 NodeId WriteGraph::MinimalNode() {
   Normalize();
-  NodeId best = kNoNode;
-  Lsn best_lsn = kMaxLsn;
-  for (const auto& [id, n] : nodes_) {
-    if (!n.preds.empty()) continue;
-    if (n.MinOpLsn() < best_lsn) {
-      best_lsn = n.MinOpLsn();
-      best = id;
-    }
+  return sources_.empty() ? kNoNode : sources_.begin()->second;
+}
+
+NodeId WriteGraph::OldestMinimalNode(
+    const std::function<bool(const GraphNode&)>& accept) {
+  Normalize();
+  for (const auto& [lsn, id] : sources_) {
+    if (accept(Node(id))) return id;
   }
-  return best;
+  return kNoNode;
 }
 
 std::vector<NodeId> WriteGraph::MinimalNodes() {
   Normalize();
   std::vector<NodeId> out;
-  for (const auto& [id, n] : nodes_) {
-    if (n.preds.empty()) out.push_back(id);
-  }
+  out.reserve(sources_.size());
+  for (const auto& [lsn, id] : sources_) out.push_back(id);
+  std::ranges::sort(out);
   return out;
 }
 
@@ -188,9 +257,15 @@ Status WriteGraph::RemoveNode(NodeId id, InstallResult* result) {
   result->installed_ops.assign(n.ops.begin(), n.ops.end());
   result->flush_objects.assign(n.vars.begin(), n.vars.end());
   result->unflushed_objects.assign(n.notx.begin(), n.notx.end());
+  sources_.erase({n.MinOpLsn(), id});
 
+  // Only the states of objects this node's ops and vars touched can
+  // become empty.
+  std::vector<ObjectId> touched(n.vars.begin(), n.vars.end());
   for (Lsn lsn : n.ops) {
     const PendingOp& op = pending_ops_.at(lsn);
+    touched.insert(touched.end(), op.reads.begin(), op.reads.end());
+    touched.insert(touched.end(), op.writes.begin(), op.writes.end());
     for (ObjectId r : op.reads) {
       auto oit = objects_.find(r);
       if (oit != objects_.end()) {
@@ -209,17 +284,21 @@ Status WriteGraph::RemoveNode(NodeId id, InstallResult* result) {
     ObjectState& st = objects_[x];
     if (st.vars_owner == id) st.vars_owner = kNoNode;
   }
-  for (NodeId s : n.succs) Node(s).preds.erase(id);
+  for (NodeId s : n.succs) {
+    GraphNode& succ = Node(s);
+    succ.preds.erase(id);
+    Source(succ);
+  }
   nodes_.erase(it);
 
-  // Garbage-collect empty object states.
-  for (auto oit = objects_.begin(); oit != objects_.end();) {
+  // Garbage-collect the touched object states left empty.
+  for (ObjectId x : touched) {
+    auto oit = objects_.find(x);
+    if (oit == objects_.end()) continue;
     const ObjectState& st = oit->second;
     if (st.readers.empty() && st.writers.empty() &&
         st.readers_of_last_write.empty() && st.vars_owner == kNoNode) {
-      oit = objects_.erase(oit);
-    } else {
-      ++oit;
+      objects_.erase(oit);
     }
   }
   return Status::OK();
@@ -320,6 +399,19 @@ Status WriteGraph::CheckInvariants() {
         return Status::Corruption("op_node out of sync");
       }
     }
+  }
+  // The source order holds exactly the nodes without predecessors, each
+  // under its current oldest op.
+  size_t sources = 0;
+  for (const auto& [id, n] : nodes_) {
+    if (!n.preds.empty()) continue;
+    ++sources;
+    if (!sources_.contains({n.MinOpLsn(), id})) {
+      return Status::Corruption("minimal node missing from source order");
+    }
+  }
+  if (sources != sources_.size()) {
+    return Status::Corruption("source order holds a stale entry");
   }
   // Acyclicity: Kahn over the whole graph must consume every node.
   std::map<NodeId, size_t> degree;

@@ -2,10 +2,12 @@
 #define LOGLOG_GRAPH_WRITE_GRAPH_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -87,14 +89,25 @@ class WriteGraph {
   virtual const char* Kind() const = 0;
 
   /// Makes the graph acyclic by collapsing strongly connected components
-  /// (the second collapse of Figure 3). Idempotent.
+  /// (the second collapse of Figure 3). Idempotent. Only a node that a
+  /// new edge entered, or that received a merge, can lie on a new cycle,
+  /// so Normalize searches forward from those suspects alone and runs
+  /// the full Tarjan pass only when one of them reaches itself (or when
+  /// the suspects outnumber the nodes).
   void Normalize();
 
   /// A node with no predecessors (after Normalize), deterministically the
   /// one containing the oldest operation; kNoNode if the graph is empty.
   NodeId MinimalNode();
 
-  /// All minimal nodes (after Normalize).
+  /// The first minimal node (after Normalize), in ascending (MinOpLsn,
+  /// id) order, for which `accept` holds; kNoNode if none does. Costs
+  /// O(log n) plus one `accept` call per node it passes over. `accept`
+  /// must not change the graph.
+  NodeId OldestMinimalNode(
+      const std::function<bool(const GraphNode&)>& accept);
+
+  /// All minimal nodes (after Normalize), in ascending id order.
   std::vector<NodeId> MinimalNodes();
 
   /// Installs the operations of a minimal node: removes the node and all
@@ -131,7 +144,8 @@ class WriteGraph {
   const GraphStats& stats() const { return stats_; }
 
   /// Checks structural invariants (unique vars owner, edge symmetry,
-  /// acyclicity after Normalize). Test/debug use.
+  /// the minimal-node order, acyclicity after Normalize). Test/debug
+  /// use.
   Status CheckInvariants();
 
   std::string DebugString() const;
@@ -151,6 +165,7 @@ class WriteGraph {
 
   NodeId NewNode();
   GraphNode& Node(NodeId id);
+  const GraphNode& Node(NodeId id) const;
   /// Adds edge from → to (from installs first); ignores self-edges.
   void AddEdge(NodeId from, NodeId to);
   /// Merges node `src` into `dst` (ops, vars, notx, edges, ownership).
@@ -159,6 +174,9 @@ class WriteGraph {
   /// last-write tracking, op->node). Call after the op's node is final.
   void TrackOp(const PendingOp& op, NodeId node);
   ObjectState& ObjState(ObjectId id) { return objects_[id]; }
+  /// The full Tarjan pass: collapses every strongly connected component
+  /// of size > 1 and clears the cycle suspects.
+  void CollapseCycles();
 
   std::map<NodeId, GraphNode> nodes_;
   std::unordered_map<Lsn, PendingOp> pending_ops_;
@@ -166,7 +184,22 @@ class WriteGraph {
   std::unordered_map<ObjectId, ObjectState> objects_;
   GraphStats stats_;
   NodeId next_node_id_ = 1;
-  bool dirty_ = false;  // needs Normalize
+
+ private:
+  /// A cycle lies among the nodes reachable from the suspects, which
+  /// (the graph being acyclic before them) is exactly when some suspect
+  /// reaches itself. O(nodes + edges reachable from the suspects).
+  bool CycleReachableFromSuspects() const;
+  /// Files `n` in sources_ if it has no predecessors (Source), or takes
+  /// it out (Unsource); call around every change to n's preds or ops.
+  void Source(const GraphNode& n);
+  void Unsource(const GraphNode& n);
+
+  /// Nodes a new edge entered or a merge grew since the last Normalize
+  /// (may repeat, or name nodes since merged away or installed).
+  std::vector<NodeId> cycle_suspects_;
+  /// Nodes with no predecessors as (MinOpLsn, id), oldest first.
+  std::set<std::pair<Lsn, NodeId>> sources_;
 };
 
 }  // namespace loglog

@@ -1,6 +1,5 @@
 #include "logstore/compactor.h"
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -57,19 +56,22 @@ Status Compactor::MoveOldestImages(size_t batch, uint64_t* images_moved,
   const WriteGraph& graph = cm.graph();  // drains the pending batch
   // Oldest live images first: the minimum-LSN entry is what pins the
   // truncation point, so moving it is what lets the next checkpoint
-  // reclaim bytes.
-  std::vector<IndexCheckpointEntry> entries = target_->index().Snapshot();
-  std::ranges::sort(entries, {}, &IndexCheckpointEntry::lsn);
+  // reclaim bytes. The walk holds a copy of its entry, since it may
+  // erase it; nothing is published until after the walk.
+  LogIndex& index = target_->index();
+  const IndexCheckpointEntry* oldest = index.OldestEntry();
+  if (oldest == nullptr) return Status::OK();
+  IndexCheckpointEntry e = *oldest;
   std::vector<ObjectWrite> moved;
   std::vector<InstallEntry> evidence;
   uint64_t old_bytes = 0;
-  for (const IndexCheckpointEntry& e : entries) {
-    if (moved.size() >= batch) break;
+  for (bool more = true; more && moved.size() < batch;
+       more = index.NextByLsn(&e)) {
     CachedObject* obj = nullptr;
     Status st = cm.Fetch(e.id, &obj);
     if (st.IsNotFound()) continue;  // raced with a delete
     LOGLOG_RETURN_IF_ERROR(st);
-    if (obj->dirty || graph.FirstUninstalledWriter(e.id) != kInvalidLsn) {
+    if (obj->dirty() || graph.FirstUninstalledWriter(e.id) != kInvalidLsn) {
       // A pending writer republishes this object at install time anyway;
       // re-logging it now would be wasted log volume.
       continue;
@@ -82,7 +84,7 @@ Status Compactor::MoveOldestImages(size_t batch, uint64_t* images_moved,
       continue;
     }
     if (!obj->exists) {
-      target_->index().Erase(e.id);
+      index.Erase(e.id);
       continue;
     }
     Lsn lsn = cm.LogIdentityWrite(e.id, obj);

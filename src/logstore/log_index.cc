@@ -13,20 +13,26 @@ LogIndex::LogIndex()
           metric::kLogstoreIndexLiveBytes)) {}
 
 void LogIndex::Publish(ObjectId id, Lsn lsn, uint64_t offset, uint64_t size) {
-  IndexCheckpointEntry& e = by_id_[id];
-  live_bytes_ += size - e.size;  // e.size == 0 for a fresh entry
-  e.id = id;
-  e.lsn = lsn;
-  e.offset = offset;
-  e.size = size;
+  Put(IndexCheckpointEntry{id, lsn, offset, size});
   publishes_->Inc();
   RefreshGauges();
+}
+
+void LogIndex::Put(const IndexCheckpointEntry& entry) {
+  auto [it, fresh] = by_id_.try_emplace(entry.id);
+  Slot& slot = it->second;
+  if (!fresh) by_lsn_.erase(slot.by_lsn);  // re-filed under its new lsn
+  live_bytes_ += entry.size - slot.entry.size;  // 0 for a fresh slot
+  slot.entry = entry;
+  // A new image is usually the newest: hint the insert at the end.
+  slot.by_lsn = by_lsn_.insert(by_lsn_.end(), &slot.entry);
 }
 
 void LogIndex::Erase(ObjectId id) {
   auto it = by_id_.find(id);
   if (it == by_id_.end()) return;
-  live_bytes_ -= it->second.size;
+  live_bytes_ -= it->second.entry.size;
+  by_lsn_.erase(it->second.by_lsn);
   by_id_.erase(it);
   RefreshGauges();
 }
@@ -34,41 +40,42 @@ void LogIndex::Erase(ObjectId id) {
 bool LogIndex::Lookup(ObjectId id, IndexCheckpointEntry* entry) const {
   auto it = by_id_.find(id);
   if (it == by_id_.end()) return false;
-  if (entry != nullptr) *entry = it->second;
+  if (entry != nullptr) *entry = it->second.entry;
   return true;
 }
 
 const IndexCheckpointEntry* LogIndex::OldestEntry() const {
-  const IndexCheckpointEntry* oldest = nullptr;
-  for (const auto& [id, e] : by_id_) {
-    if (oldest == nullptr || e.lsn < oldest->lsn) oldest = &e;
-  }
-  return oldest;
+  return by_lsn_.empty() ? nullptr : *by_lsn_.begin();
+}
+
+bool LogIndex::NextByLsn(IndexCheckpointEntry* e) const {
+  auto it = by_lsn_.upper_bound(e);
+  if (it == by_lsn_.end()) return false;
+  *e = **it;
+  return true;
 }
 
 Lsn LogIndex::MinLsn() const {
-  const IndexCheckpointEntry* oldest = OldestEntry();
-  return oldest != nullptr ? oldest->lsn : kInvalidLsn;
+  return by_lsn_.empty() ? kInvalidLsn : (*by_lsn_.begin())->lsn;
 }
 
 std::vector<IndexCheckpointEntry> LogIndex::Snapshot() const {
   std::vector<IndexCheckpointEntry> out;
   out.reserve(by_id_.size());
-  for (const auto& [id, e] : by_id_) out.push_back(e);
+  for (const auto& [id, slot] : by_id_) out.push_back(slot.entry);
   return out;
 }
 
 void LogIndex::Reset(const std::vector<IndexCheckpointEntry>& entries) {
+  by_lsn_.clear();
   by_id_.clear();
   live_bytes_ = 0;
-  for (const IndexCheckpointEntry& e : entries) {
-    by_id_[e.id] = e;
-    live_bytes_ += e.size;
-  }
+  for (const IndexCheckpointEntry& e : entries) Put(e);
   RefreshGauges();
 }
 
 void LogIndex::Clear() {
+  by_lsn_.clear();
   by_id_.clear();
   live_bytes_ = 0;
   RefreshGauges();

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "common/types.h"
@@ -44,10 +45,16 @@ class LogIndex {
   /// True (and *entry filled) when the object has a published image.
   bool Lookup(ObjectId id, IndexCheckpointEntry* entry) const;
 
-  /// The entry whose record sits lowest in the log, or nullptr when
-  /// empty. Compaction moves this one first: the minimum entry pins the
+  /// The entry whose record sits lowest in the log (smallest LSN, and
+  /// so smallest offset: offsets grow with LSN), or nullptr when empty.
+  /// O(1). Compaction moves this one first: the minimum entry pins the
   /// truncation point, so rewriting it forward is what reclaims bytes.
   const IndexCheckpointEntry* OldestEntry() const;
+
+  /// Advances *e to the entry after it in LSN order; false (and *e
+  /// unchanged) past the newest. *e need not still be in the index, so
+  /// a walk may erase the entry it stands on. O(log n).
+  bool NextByLsn(IndexCheckpointEntry* e) const;
 
   /// Smallest LSN any entry points at (kInvalidLsn when empty). The
   /// log-store truncation floor: bytes below it hold no live image.
@@ -69,8 +76,27 @@ class LogIndex {
 
  private:
   void RefreshGauges();
+  /// Inserts or replaces the entry for entry.id, keeping by_lsn_ and
+  /// live_bytes_ in step.
+  void Put(const IndexCheckpointEntry& entry);
 
-  std::map<ObjectId, IndexCheckpointEntry> by_id_;
+  /// Orders entries of by_id_ by (lsn, id). An entry is re-filed
+  /// whenever its lsn changes; index LSNs are unique in practice (a full
+  /// image writes one object), the id only makes the order total.
+  struct ByLsn {
+    bool operator()(const IndexCheckpointEntry* a,
+                    const IndexCheckpointEntry* b) const {
+      return a->lsn != b->lsn ? a->lsn < b->lsn : a->id < b->id;
+    }
+  };
+  using LsnOrder = std::set<const IndexCheckpointEntry*, ByLsn>;
+  struct Slot {
+    IndexCheckpointEntry entry;
+    LsnOrder::iterator by_lsn;  // entry's place in by_lsn_
+  };
+
+  std::map<ObjectId, Slot> by_id_;
+  LsnOrder by_lsn_;
   uint64_t live_bytes_ = 0;
   Counter* publishes_;     // logstore.index.publishes
   Gauge* entries_gauge_;   // logstore.index.entries

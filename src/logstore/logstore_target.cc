@@ -83,8 +83,8 @@ void LogStoreTarget::EndCheckpoint() {
   // wholly below the oldest live image; compaction advances that bound.
   if (cold_retention_full_) return;
   uint64_t min_live = disk_->log().start_offset();
-  for (const IndexCheckpointEntry& e : index_.Snapshot()) {
-    min_live = std::min(min_live, e.offset);
+  if (const IndexCheckpointEntry* oldest = index_.OldestEntry()) {
+    min_live = std::min(min_live, oldest->offset);  // offsets grow with LSN
   }
   disk_->log().ReclaimColdBelow(min_live);
 }

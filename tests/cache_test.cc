@@ -193,7 +193,7 @@ TEST(CacheManagerTest, UnexposedObjectStaysDirtyAfterInstall) {
   EXPECT_FALSE(rig.disk.store().Exists(1));  // X installed without flush
   const CachedObject* x = rig.cm.table().Find(1);
   ASSERT_NE(x, nullptr);
-  EXPECT_TRUE(x->dirty);
+  EXPECT_TRUE(x->dirty());
   EXPECT_EQ(x->rsi, 3u);  // rSI advanced to C's lSI
   EXPECT_EQ(rig.cm.stats().installed_without_flush, 1u);
   // Finally C's node flushes X with C's value.

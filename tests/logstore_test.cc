@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
+
 #include "engine/recovery_engine.h"
 #include "logstore/compactor.h"
+#include "logstore/log_index.h"
 #include "logstore/logstore.h"
 #include "obs/metrics.h"
 #include "ops/op_builder.h"
@@ -236,6 +240,104 @@ TEST(LogStoreTest, CompactionMovesImagesForwardAndPreservesReads) {
     ASSERT_TRUE(engine.Read(id, &v).ok()) << id;
     EXPECT_EQ(v, Val("img-" + std::to_string(id))) << id;
   }
+}
+
+// Differential: after random Publish/Erase/Reset sequences the index's
+// LSN order — OldestEntry, MinLsn and the NextByLsn walk the compactor
+// takes — equals a sort of Snapshot() by LSN, also when the walk erases
+// the entry it stands on.
+TEST(LogIndexTest, LsnOrderMatchesSortedSnapshot) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    Random rng(seed);
+    LogIndex index;
+    Lsn next_lsn = 1;
+    for (int step = 0; step < 2000; ++step) {
+      ObjectId id = 1 + rng.Uniform(40);
+      uint64_t dice = rng.Uniform(20);
+      if (dice < 13) {
+        // Offsets grow with LSN, as on the device.
+        Lsn lsn = next_lsn++;
+        index.Publish(id, lsn, lsn * 64, 32 + rng.Uniform(32));
+      } else if (dice < 19) {
+        index.Erase(id);
+      } else {
+        std::vector<IndexCheckpointEntry> keep = index.Snapshot();
+        keep.erase(std::remove_if(keep.begin(), keep.end(),
+                                  [&](const IndexCheckpointEntry&) {
+                                    return rng.OneIn(4);
+                                  }),
+                   keep.end());
+        index.Reset(keep);
+      }
+
+      std::vector<IndexCheckpointEntry> sorted = index.Snapshot();
+      std::ranges::sort(sorted, {}, &IndexCheckpointEntry::lsn);
+      uint64_t live = 0;
+      for (const IndexCheckpointEntry& e : sorted) live += e.size;
+      ASSERT_EQ(index.live_bytes(), live);
+      if (sorted.empty()) {
+        ASSERT_EQ(index.OldestEntry(), nullptr);
+        ASSERT_EQ(index.MinLsn(), kInvalidLsn);
+        continue;
+      }
+      ASSERT_NE(index.OldestEntry(), nullptr);
+      ASSERT_EQ(index.OldestEntry()->id, sorted.front().id);
+      ASSERT_EQ(index.MinLsn(), sorted.front().lsn);
+      uint64_t min_offset = sorted.front().offset;
+      for (const IndexCheckpointEntry& e : sorted) {
+        min_offset = std::min(min_offset, e.offset);
+      }
+      ASSERT_EQ(index.OldestEntry()->offset, min_offset);
+      std::vector<ObjectId> walk;
+      IndexCheckpointEntry e = *index.OldestEntry();
+      for (bool more = true; more; more = index.NextByLsn(&e)) {
+        walk.push_back(e.id);
+      }
+      std::vector<ObjectId> want;
+      for (const IndexCheckpointEntry& s : sorted) want.push_back(s.id);
+      ASSERT_EQ(walk, want) << "step " << step;
+    }
+    // A walk that erases every other entry it visits still visits all.
+    std::vector<IndexCheckpointEntry> sorted = index.Snapshot();
+    std::ranges::sort(sorted, {}, &IndexCheckpointEntry::lsn);
+    ASSERT_FALSE(sorted.empty());
+    std::vector<ObjectId> walk;
+    IndexCheckpointEntry e = *index.OldestEntry();
+    for (bool more = true; more; more = index.NextByLsn(&e)) {
+      walk.push_back(e.id);
+      if (walk.size() % 2 == 1) index.Erase(e.id);
+    }
+    ASSERT_EQ(walk.size(), sorted.size());
+    for (size_t i = 0; i < walk.size(); ++i) EXPECT_EQ(walk[i], sorted[i].id);
+    EXPECT_EQ(index.size(), sorted.size() / 2);
+  }
+}
+
+// The engine's index keeps offsets in LSN order, which is what lets the
+// checkpoint take the cold-tier reclaim bound from the oldest entry.
+TEST(LogIndexTest, EngineOffsetsGrowWithLsn) {
+  SimulatedDisk disk;
+  EngineOptions opts = LogStoreOpts();
+  opts.purge_threshold_ops = 8;
+  opts.logstore.compact_interval_ops = 16;
+  opts.logstore.compact_batch_objects = 4;
+  RecoveryEngine engine(opts, &disk);
+  for (int round = 0; round < 8; ++round) {
+    for (ObjectId id = 1; id <= 12; ++id) {
+      ASSERT_TRUE(engine
+                      .Execute(MakePhysicalWrite(
+                          id, "r" + std::to_string(round) + "-" +
+                                  std::to_string(id)))
+                      .ok());
+    }
+    std::vector<IndexCheckpointEntry> sorted = engine.log_index()->Snapshot();
+    std::ranges::sort(sorted, {}, &IndexCheckpointEntry::lsn);
+    for (size_t i = 1; i < sorted.size(); ++i) {
+      EXPECT_LT(sorted[i - 1].offset, sorted[i].offset);
+    }
+  }
+  ASSERT_GT(engine.compactor()->stats().images_moved, 0u);
 }
 
 TEST(LogStoreTest, CrashAfterCompactionAuditsCleanly) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/object_table.h"
+#include "common/random.h"
 
 namespace loglog {
 namespace {
@@ -22,12 +23,12 @@ TEST(ObjectTableTest, FindGetOrCreateErase) {
 TEST(ObjectTableTest, DirtyCountAndSnapshot) {
   ObjectTable table;
   CachedObject& a = table.GetOrCreate(1);
-  a.dirty = true;
+  table.SetDirty(&a, true);
   a.rsi = 5;
   CachedObject& b = table.GetOrCreate(2);
-  b.dirty = false;
+  table.SetDirty(&b, false);
   CachedObject& c = table.GetOrCreate(3);
-  c.dirty = true;
+  table.SetDirty(&c, true);
   c.rsi = 9;
   c.exists = false;  // uninstalled delete: dead in the snapshot
 
@@ -51,17 +52,70 @@ TEST(ObjectTableTest, DirtyCountAndSnapshot) {
 TEST(ObjectTableTest, OldestCleanPrefersLruAndSkipsDirty) {
   ObjectTable table;
   CachedObject& a = table.GetOrCreate(1);
-  a.last_access = 10;
   CachedObject& b = table.GetOrCreate(2);
-  b.last_access = 5;  // older
   CachedObject& c = table.GetOrCreate(3);
-  c.last_access = 1;  // oldest but dirty
-  c.dirty = true;
+  table.Touch(&c);  // oldest but dirty
+  table.SetDirty(&c, true);
+  table.Touch(&b);  // older
+  table.Touch(&a);
   EXPECT_EQ(table.OldestClean(), 2u);
   table.Erase(2);
   EXPECT_EQ(table.OldestClean(), 1u);
   table.Erase(1);
   EXPECT_EQ(table.OldestClean(), kInvalidObjectId);  // only dirty left
+}
+
+// Differential: over random touch/dirty/clean/erase/evict sequences the
+// ordered victim is always what a scan of the whole table picks — the
+// clean object with the smallest (last_access, id).
+TEST(ObjectTableTest, OldestCleanMatchesReferenceScan) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    Random rng(seed);
+    ObjectTable table;
+    size_t evictions = 0;
+    for (int step = 0; step < 4000; ++step) {
+      ObjectId id = 1 + rng.Uniform(48);
+      switch (rng.Uniform(6)) {
+        case 0:
+        case 1:
+          table.Touch(&table.GetOrCreate(id));
+          break;
+        case 2:
+          table.SetDirty(&table.GetOrCreate(id), true);
+          break;
+        case 3:
+          table.SetDirty(&table.GetOrCreate(id), false);
+          break;
+        case 4:
+          table.Erase(id);
+          break;
+        default:
+          break;  // evict below
+      }
+      ObjectId want = kInvalidObjectId;
+      uint64_t want_stamp = 0;
+      size_t dirty = 0;
+      table.ForEach([&](ObjectId x, const CachedObject& obj) {
+        if (obj.dirty()) {
+          ++dirty;
+          return;
+        }
+        if (want == kInvalidObjectId || obj.last_access() < want_stamp ||
+            (obj.last_access() == want_stamp && x < want)) {
+          want = x;
+          want_stamp = obj.last_access();
+        }
+      });
+      ASSERT_EQ(table.OldestClean(), want) << "step " << step;
+      ASSERT_EQ(table.dirty_count(), dirty);
+      if (rng.OneIn(6) && want != kInvalidObjectId) {
+        table.Erase(want);  // evict, as CacheManager::EvictTo does
+        ++evictions;
+      }
+    }
+    EXPECT_GT(evictions, 100u);
+  }
 }
 
 TEST(ObjectTableTest, ForEachVisitsAll) {

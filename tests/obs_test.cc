@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "engine/recovery_engine.h"
+#include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -251,15 +252,23 @@ TEST(TraceRecorderTest, NestedSpansInstantsAndArgs) {
 }
 
 TEST(TraceRecorderTest, DenseThreadIds) {
+  // Ids come from the process-wide ThreadRegistry, which earlier tests in
+  // the same process have already handed ids to: assert what it promises
+  // (one stable id per thread, handed out in registration order), not
+  // which id the first thread gets.
   TraceRecorder rec;
   rec.Enable();
   rec.AddInstant("main", "test");
   std::thread([&rec] { rec.AddInstant("worker", "test"); }).join();
+  std::thread([&rec] { rec.AddInstant("worker2", "test"); }).join();
+  rec.AddInstant("main again", "test");
   rec.Disable();
   std::vector<TraceEvent> events = rec.Events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].tid, 0u);  // first thread seen is tid 0
-  EXPECT_EQ(events[1].tid, 1u);
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events[0].tid, ThreadRegistry::Global().CurrentTid());
+  EXPECT_EQ(events[3].tid, events[0].tid);  // stable per thread
+  EXPECT_GT(events[1].tid, events[0].tid);  // registered after main
+  EXPECT_GT(events[2].tid, events[1].tid);
 }
 
 TEST(TraceRecorderTest, ChromeJsonStructure) {
