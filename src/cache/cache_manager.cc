@@ -68,6 +68,14 @@ CacheManager::CacheManager(SimulatedDisk* disk, LogManager* log,
 
 Status CacheManager::GetValue(ObjectId id, ObjectValue* out,
                               int io_budget) {
+  const ObjectValue* value = nullptr;
+  LOGLOG_RETURN_IF_ERROR(PeekValue(id, &value, io_budget));
+  *out = *value;
+  return Status::OK();
+}
+
+Status CacheManager::PeekValue(ObjectId id, const ObjectValue** out,
+                               int io_budget) {
   CachedObject* obj = table_.Find(id);
   if (obj == nullptr) {
     LOGLOG_RETURN_IF_ERROR(FaultIn(id, io_budget, &obj));
@@ -76,7 +84,7 @@ Status CacheManager::GetValue(ObjectId id, ObjectValue* out,
   } else {
     table_.Touch(obj);
   }
-  *out = obj->value;
+  *out = &obj->value;
   return Status::OK();
 }
 

@@ -71,6 +71,13 @@ class CacheManager {
   /// default; the rollback path passes EngineOptions::rollback_io_retries).
   Status GetValue(ObjectId id, ObjectValue* out,
                   int io_budget = kMaxIoRetries);
+  /// GetValue without the copy: points `*out` at the cached value, after
+  /// the same fault-in and Touch. The pointer stays valid until the
+  /// object is evicted, installed as a delete or rewritten — by
+  /// ApplyResults, EvictTo, PurgeOne, FlushAll, EnforceRecoveryBudget or
+  /// Checkpoint; fault-ins and Touches of other objects leave it valid.
+  Status PeekValue(ObjectId id, const ObjectValue** out,
+                   int io_budget = kMaxIoRetries);
 
   /// Whether the object currently exists (cached tombstones considered).
   bool ObjectExists(ObjectId id);

@@ -71,21 +71,17 @@ Status GetFixed64(Slice* src, uint64_t* v) {
 }
 
 Status GetVarint64(Slice* src, uint64_t* v) {
-  uint64_t result = 0;
-  for (uint32_t shift = 0; shift <= 63 && !src->empty(); shift += 7) {
-    uint8_t byte = (*src)[0];
-    src->RemovePrefix(1);
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *v = result;
-      return Status::OK();
-    }
+  const uint8_t* end =
+      DecodeVarint64(src->data(), src->data() + src->size(), v);
+  if (end == nullptr) {
+    return Status::Corruption("truncated or overlong varint64");
   }
-  return Status::Corruption("truncated or overlong varint64");
+  src->RemovePrefix(static_cast<size_t>(end - src->data()));
+  return Status::OK();
 }
 
 Status GetVarint32(Slice* src, uint32_t* v) {
-  uint64_t wide;
+  uint64_t wide = 0;
   LOGLOG_RETURN_IF_ERROR(GetVarint64(src, &wide));
   if (wide > UINT32_MAX) return Status::Corruption("varint32 overflow");
   *v = static_cast<uint32_t>(wide);
@@ -93,7 +89,7 @@ Status GetVarint32(Slice* src, uint32_t* v) {
 }
 
 Status GetLengthPrefixed(Slice* src, Slice* value) {
-  uint64_t len;
+  uint64_t len = 0;
   LOGLOG_RETURN_IF_ERROR(GetVarint64(src, &len));
   if (src->size() < len) {
     return Status::Corruption("truncated length-prefixed value");

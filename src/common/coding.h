@@ -44,6 +44,40 @@ uint8_t* EncodeLengthPrefixed(uint8_t* dst, Slice value);
 uint32_t DecodeFixed32(const uint8_t* buf);
 uint64_t DecodeFixed64(const uint8_t* buf);
 
+/// Raw-buffer varint decoder, the one GetVarint64 and the in-place B-tree
+/// page code share: decodes the varint at p (never reading at or past
+/// `limit`) into *v and returns the advanced cursor, or nullptr when it
+/// is truncated or longer than ten bytes (*v untouched).
+inline const uint8_t* DecodeVarint64(const uint8_t* p, const uint8_t* limit,
+                                     uint64_t* v) {
+  if (p < limit && *p < 0x80) {
+    *v = *p;
+    return p + 1;
+  }
+  uint64_t result = 0;
+  if (limit - p >= 10) {
+    // All ten bytes a varint may take are in bounds: no per-byte check.
+    for (uint32_t shift = 0; shift <= 63; shift += 7) {
+      const uint64_t byte = *p++;
+      result |= (byte & 0x7f) << shift;
+      if (byte < 0x80) {
+        *v = result;
+        return p;
+      }
+    }
+    return nullptr;
+  }
+  for (uint32_t shift = 0; shift <= 63 && p < limit; shift += 7) {
+    const uint64_t byte = *p++;
+    result |= (byte & 0x7f) << shift;
+    if (byte < 0x80) {
+      *v = result;
+      return p;
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace loglog
 
 #endif  // LOGLOG_COMMON_CODING_H_

@@ -56,12 +56,7 @@ Status InsertLeafFn(const OperationDesc& op,
   Slice value;
   LOGLOG_RETURN_IF_ERROR(GetVarint64(&p, &key));
   LOGLOG_RETURN_IF_ERROR(GetLengthPrefixed(&p, &value));
-  BtreePage page;
-  LOGLOG_RETURN_IF_ERROR(BtreePage::Deserialize(Slice((*writes)[0]), &page));
-  if (!page.is_leaf) return Status::InvalidArgument("not a leaf");
-  page.LeafInsert(key, value);
-  (*writes)[0] = page.Serialize();
-  return Status::OK();
+  return BtreePage::LeafPut(&(*writes)[0], key, value);
 }
 
 // params: varint key, varint child. Physiological internal insert (used
@@ -73,12 +68,7 @@ Status InsertInternalFn(const OperationDesc& op,
   uint64_t key, child;
   LOGLOG_RETURN_IF_ERROR(GetVarint64(&p, &key));
   LOGLOG_RETURN_IF_ERROR(GetVarint64(&p, &child));
-  BtreePage page;
-  LOGLOG_RETURN_IF_ERROR(BtreePage::Deserialize(Slice((*writes)[0]), &page));
-  if (page.is_leaf) return Status::InvalidArgument("not internal");
-  page.InternalInsert(key, child);
-  (*writes)[0] = page.Serialize();
-  return Status::OK();
+  return BtreePage::InternalInsert(&(*writes)[0], key, child);
 }
 
 // Logical split as ONE atomic operation covering the whole structure
@@ -90,24 +80,16 @@ Status SplitFn(const OperationDesc& op,
                const std::vector<ObjectValue>& reads,
                std::vector<ObjectValue>* writes) {
   ObjectId new_id = op.writes[1];
-  BtreePage old_page, parent;
-  LOGLOG_RETURN_IF_ERROR(BtreePage::Deserialize(Slice(reads[0]), &old_page));
-  LOGLOG_RETURN_IF_ERROR(BtreePage::Deserialize(Slice(reads[1]), &parent));
   Meta meta;
   LOGLOG_RETURN_IF_ERROR(DeserializeMeta(Slice(reads[2]), &meta));
-
-  BtreePage right;
-  uint64_t separator = old_page.SplitInto(&right);
-  if (old_page.is_leaf) {
-    right.next_leaf = old_page.next_leaf;
-    old_page.next_leaf = new_id;
-  }
-  parent.InternalInsert(separator, new_id);
+  uint64_t separator = 0;
+  LOGLOG_RETURN_IF_ERROR(BtreePage::Split(Slice(reads[0]), new_id,
+                                          &(*writes)[0], &(*writes)[1],
+                                          &separator));
+  (*writes)[2] = reads[1];
+  LOGLOG_RETURN_IF_ERROR(
+      BtreePage::InternalInsert(&(*writes)[2], separator, new_id));
   MetaAllocate(&meta, new_id);
-
-  (*writes)[0] = old_page.Serialize();
-  (*writes)[1] = right.Serialize();
-  (*writes)[2] = parent.Serialize();
   (*writes)[3] = SerializeMeta(meta);
   return Status::OK();
 }
@@ -118,28 +100,16 @@ Status RootSplitFn(const OperationDesc& op,
                    std::vector<ObjectValue>* writes) {
   ObjectId new_id = op.writes[1];
   ObjectId new_root_id = op.writes[2];
-  BtreePage old_page;
-  LOGLOG_RETURN_IF_ERROR(BtreePage::Deserialize(Slice(reads[0]), &old_page));
   Meta meta;
   LOGLOG_RETURN_IF_ERROR(DeserializeMeta(Slice(reads[1]), &meta));
-
-  BtreePage right;
-  uint64_t separator = old_page.SplitInto(&right);
-  if (old_page.is_leaf) {
-    right.next_leaf = old_page.next_leaf;
-    old_page.next_leaf = new_id;
-  }
-  BtreePage new_root;
-  new_root.is_leaf = false;
-  new_root.first_child = op.writes[0];
-  new_root.internal_entries.push_back({separator, new_id});
+  uint64_t separator = 0;
+  LOGLOG_RETURN_IF_ERROR(BtreePage::Split(Slice(reads[0]), new_id,
+                                          &(*writes)[0], &(*writes)[1],
+                                          &separator));
+  (*writes)[2] = BtreePage::NewRoot(op.writes[0], separator, new_id);
   meta.root = new_root_id;
   MetaAllocate(&meta, new_id);
   MetaAllocate(&meta, new_root_id);
-
-  (*writes)[0] = old_page.Serialize();
-  (*writes)[1] = right.Serialize();
-  (*writes)[2] = new_root.Serialize();
   (*writes)[3] = SerializeMeta(meta);
   return Status::OK();
 }
@@ -153,12 +123,11 @@ Status TruncateFn(const OperationDesc& op,
   Slice p(op.params);
   uint64_t new_id;
   LOGLOG_RETURN_IF_ERROR(GetVarint64(&p, &new_id));
-  BtreePage page;
-  LOGLOG_RETURN_IF_ERROR(BtreePage::Deserialize(Slice((*writes)[0]), &page));
-  BtreePage right;
-  page.SplitInto(&right);  // discard the right half
-  if (page.is_leaf) page.next_leaf = new_id;
-  (*writes)[0] = page.Serialize();
+  ObjectValue left, right;  // the right half is discarded
+  uint64_t separator = 0;
+  LOGLOG_RETURN_IF_ERROR(BtreePage::Split(Slice((*writes)[0]), new_id,
+                                          &left, &right, &separator));
+  (*writes)[0] = std::move(left);
   return Status::OK();
 }
 
@@ -169,11 +138,8 @@ Status EraseLeafFn(const OperationDesc& op,
   Slice p(op.params);
   uint64_t key;
   LOGLOG_RETURN_IF_ERROR(GetVarint64(&p, &key));
-  BtreePage page;
-  LOGLOG_RETURN_IF_ERROR(BtreePage::Deserialize(Slice((*writes)[0]), &page));
-  page.LeafErase(key);
-  (*writes)[0] = page.Serialize();
-  return Status::OK();
+  bool erased = false;
+  return BtreePage::LeafErase(&(*writes)[0], key, &erased);
 }
 
 // Leaf merge as ONE atomic operation: writes {left, right, parent,
@@ -183,32 +149,16 @@ Status MergeLeavesFn(const OperationDesc& op,
                      const std::vector<ObjectValue>& reads,
                      std::vector<ObjectValue>* writes) {
   ObjectId right_id = op.writes[1];
-  BtreePage left, right, parent;
-  LOGLOG_RETURN_IF_ERROR(BtreePage::Deserialize(Slice(reads[0]), &left));
-  LOGLOG_RETURN_IF_ERROR(BtreePage::Deserialize(Slice(reads[1]), &right));
-  LOGLOG_RETURN_IF_ERROR(BtreePage::Deserialize(Slice(reads[2]), &parent));
   Meta meta;
   LOGLOG_RETURN_IF_ERROR(DeserializeMeta(Slice(reads[3]), &meta));
-  if (!left.is_leaf || !right.is_leaf) {
-    return Status::InvalidArgument("merge of non-leaves");
-  }
-
-  left.leaf_entries.insert(left.leaf_entries.end(),
-                           right.leaf_entries.begin(),
-                           right.leaf_entries.end());
-  left.next_leaf = right.next_leaf;
-  for (auto it = parent.internal_entries.begin();
-       it != parent.internal_entries.end(); ++it) {
-    if (it->child == right_id) {
-      parent.internal_entries.erase(it);
-      break;
-    }
-  }
+  LOGLOG_RETURN_IF_ERROR(BtreePage::MergeLeaves(Slice(reads[0]),
+                                                Slice(reads[1]),
+                                                &(*writes)[0]));
+  (*writes)[1] = BtreePage::EmptyLeaf();  // placeholder on the free list
+  (*writes)[2] = reads[2];
+  LOGLOG_RETURN_IF_ERROR(
+      BtreePage::InternalEraseChild(&(*writes)[2], right_id));
   meta.free_list.insert(right_id);
-
-  (*writes)[0] = left.Serialize();
-  (*writes)[1] = BtreePage().Serialize();  // empty leaf placeholder
-  (*writes)[2] = parent.Serialize();
   (*writes)[3] = SerializeMeta(meta);
   return Status::OK();
 }
@@ -221,15 +171,15 @@ Status CollapseRootFn(const OperationDesc& op,
                       std::vector<ObjectValue>* writes) {
   ObjectId root_id = op.writes[0];
   BtreePage root;
-  LOGLOG_RETURN_IF_ERROR(BtreePage::Deserialize(Slice(reads[0]), &root));
+  LOGLOG_RETURN_IF_ERROR(BtreePage::Parse(Slice(reads[0]), &root));
   Meta meta;
   LOGLOG_RETURN_IF_ERROR(DeserializeMeta(Slice(reads[1]), &meta));
-  if (root.is_leaf || !root.internal_entries.empty()) {
+  if (root.is_leaf() || root.count() != 0) {
     return Status::FailedPrecondition("root not collapsible");
   }
-  meta.root = root.first_child;
+  meta.root = root.first_child();
   meta.free_list.insert(root_id);
-  (*writes)[0] = BtreePage().Serialize();
+  (*writes)[0] = BtreePage::EmptyLeaf();
   (*writes)[1] = SerializeMeta(meta);
   return Status::OK();
 }
@@ -330,7 +280,7 @@ void RegisterBtreeTransforms() {
   reg.Register(kFuncBtreeCollapseRoot, CollapseRootFn);
 
   // Compensation: a leaf insert of a *fresh* key is exactly inverted by
-  // erasing the key (pages serialize canonically, sorted by key). An
+  // erasing the key (a page has one canonical encoding, sorted by key). An
   // insert that replaced an existing value is not — erase would lose the
   // old value — so invertible() checks the pre-image page and the engine
   // falls back to logging a physical before-image in that case.
@@ -343,11 +293,11 @@ void RegisterBtreeTransforms() {
     uint64_t key;
     if (!GetVarint64(&p, &key).ok()) return false;
     BtreePage page;
-    if (!BtreePage::Deserialize(Slice(old_values[0]), &page).ok()) {
+    PageSearch hit;
+    if (!BtreePage::Search(Slice(old_values[0]), key, &page, &hit).ok()) {
       return false;
     }
-    std::vector<uint8_t> unused;
-    return page.is_leaf && page.LeafLookup(key, &unused).IsNotFound();
+    return page.is_leaf() && !hit.found;
   };
   insert_inverse.build = [](const OperationDesc& op, OperationDesc* inv) {
     Slice p(op.params);
@@ -372,10 +322,8 @@ Status Btree::Open() {
   root_ = options_.id_base + 1;
   next_page_ = options_.id_base + 2;
   free_list_.clear();
-  BtreePage root;
-  root.is_leaf = true;
   LOGLOG_RETURN_IF_ERROR(
-      engine_->Execute(MakeCreate(root_, Slice(root.Serialize()))));
+      engine_->Execute(MakeCreate(root_, Slice(BtreePage::EmptyLeaf()))));
   return WriteMeta();
 }
 
@@ -400,9 +348,16 @@ Status Btree::WriteMeta() {
 }
 
 Status Btree::ReadPage(ObjectId id, BtreePage* out) {
-  ObjectValue bytes;
-  LOGLOG_RETURN_IF_ERROR(engine_->Read(id, &bytes));
-  return BtreePage::Deserialize(Slice(bytes), out);
+  Slice bytes;
+  LOGLOG_RETURN_IF_ERROR(engine_->ReadView(id, &bytes));
+  return BtreePage::Parse(bytes, out);
+}
+
+Status Btree::SearchPage(ObjectId id, uint64_t key, BtreePage* out,
+                         PageSearch* hit) {
+  Slice bytes;
+  LOGLOG_RETURN_IF_ERROR(engine_->ReadView(id, &bytes));
+  return BtreePage::Search(bytes, key, out, hit);
 }
 
 ObjectId Btree::AllocPageId() {
@@ -418,10 +373,16 @@ ObjectId Btree::AllocPageId() {
 Status Btree::Get(uint64_t key, std::vector<uint8_t>* out) {
   ObjectId id = root_;
   BtreePage page;
+  PageSearch hit;
   while (true) {
-    LOGLOG_RETURN_IF_ERROR(ReadPage(id, &page));
-    if (page.is_leaf) return page.LeafLookup(key, out);
-    id = page.ChildFor(key);
+    LOGLOG_RETURN_IF_ERROR(SearchPage(id, key, &page, &hit));
+    if (!page.is_leaf()) {
+      id = hit.child;
+      continue;
+    }
+    if (!hit.found) return Status::NotFound("key not in leaf");
+    out->assign(hit.value.data(), hit.value.data() + hit.value.size());
+    return Status::OK();
   }
 }
 
@@ -431,19 +392,21 @@ Status Btree::Scan(
   out->clear();
   ObjectId id = root_;
   BtreePage page;
+  PageSearch hit;
   while (true) {
-    LOGLOG_RETURN_IF_ERROR(ReadPage(id, &page));
-    if (page.is_leaf) break;
-    id = page.ChildFor(from);
+    LOGLOG_RETURN_IF_ERROR(SearchPage(id, from, &page, &hit));
+    if (page.is_leaf()) break;
+    id = hit.child;
   }
   while (out->size() < limit) {
-    for (const BtreePage::LeafEntry& e : page.leaf_entries) {
+    PageEntry e;
+    for (BtreePage::Cursor c = page.entries(); c.Next(&e);) {
       if (e.key < from) continue;
-      out->emplace_back(e.key, e.value);
+      out->emplace_back(e.key, e.value.ToBytes());
       if (out->size() >= limit) return Status::OK();
     }
-    if (page.next_leaf == kInvalidObjectId) break;
-    LOGLOG_RETURN_IF_ERROR(ReadPage(page.next_leaf, &page));
+    if (page.next_leaf() == kInvalidObjectId) break;
+    LOGLOG_RETURN_IF_ERROR(ReadPage(page.next_leaf(), &page));
   }
   return Status::OK();
 }
@@ -453,15 +416,17 @@ Status Btree::Insert(uint64_t key, Slice value) {
   // Descend, recording the path for possible splits.
   std::vector<ObjectId> path = {root_};
   BtreePage page;
-  LOGLOG_RETURN_IF_ERROR(ReadPage(root_, &page));
-  while (!page.is_leaf) {
-    path.push_back(page.ChildFor(key));
-    LOGLOG_RETURN_IF_ERROR(ReadPage(path.back(), &page));
+  PageSearch hit;
+  LOGLOG_RETURN_IF_ERROR(SearchPage(root_, key, &page, &hit));
+  while (!page.is_leaf()) {
+    path.push_back(hit.child);
+    LOGLOG_RETURN_IF_ERROR(SearchPage(path.back(), key, &page, &hit));
   }
+  // Taken before Execute, which ends the page view.
+  const size_t size_after = page.SizeAfterLeafPut(hit, key, value.size());
   LOGLOG_RETURN_IF_ERROR(
       engine_->Execute(MakeLeafInsertOp(path.back(), key, value)));
-  page.LeafInsert(key, value);
-  if (PageBytes(page) > options_.max_page_bytes) {
+  if (size_after > options_.max_page_bytes) {
     LOGLOG_RETURN_IF_ERROR(SplitUpwards(path));
   }
   return Status::OK();
@@ -473,7 +438,7 @@ Status Btree::SplitUpwards(std::vector<ObjectId> path) {
     path.pop_back();
     BtreePage page;
     LOGLOG_RETURN_IF_ERROR(ReadPage(page_id, &page));
-    if (PageBytes(page) <= options_.max_page_bytes) return Status::OK();
+    if (page.size() <= options_.max_page_bytes) return Status::OK();
 
     ++stats_.splits;
     ObjectId new_id = AllocPageId();
@@ -496,26 +461,22 @@ Status Btree::SplitUpwards(std::vector<ObjectId> path) {
     } else {
       // Physiological baseline: single-page records only; the new page's
       // full image goes on the log. Meta first so allocation ordering
-      // survives a torn suffix (the log is force-ordered by prefix).
-      BtreePage left = page;
-      BtreePage right;
-      uint64_t separator = left.SplitInto(&right);
-      if (left.is_leaf) {
-        right.next_leaf = left.next_leaf;  // chain continues
-      }
+      // survives a torn suffix (the log is force-ordered by prefix). The
+      // halves are cut before the first Execute ends the page view.
+      ObjectValue left, right;
+      uint64_t separator = 0;
+      LOGLOG_RETURN_IF_ERROR(
+          BtreePage::Split(page.bytes(), new_id, &left, &right, &separator));
       LOGLOG_RETURN_IF_ERROR(WriteMeta());
       LOGLOG_RETURN_IF_ERROR(
           engine_->Execute(MakeTruncateOp(page_id, new_id)));
-      LOGLOG_RETURN_IF_ERROR(engine_->Execute(
-          MakePhysicalWrite(new_id, Slice(right.Serialize()))));
+      LOGLOG_RETURN_IF_ERROR(
+          engine_->Execute(MakePhysicalWrite(new_id, Slice(right))));
       if (is_root) {
         ++stats_.root_splits;
-        BtreePage root;
-        root.is_leaf = false;
-        root.first_child = page_id;
-        root.internal_entries.push_back({separator, new_id});
-        LOGLOG_RETURN_IF_ERROR(engine_->Execute(
-            MakeCreate(new_root_id, Slice(root.Serialize()))));
+        LOGLOG_RETURN_IF_ERROR(engine_->Execute(MakeCreate(
+            new_root_id,
+            Slice(BtreePage::NewRoot(page_id, separator, new_id)))));
         root_ = new_root_id;
         LOGLOG_RETURN_IF_ERROR(WriteMeta());
       } else {
@@ -533,13 +494,13 @@ Status Btree::Erase(uint64_t key) {
   ++stats_.erases;
   std::vector<ObjectId> path = {root_};
   BtreePage page;
-  LOGLOG_RETURN_IF_ERROR(ReadPage(root_, &page));
-  while (!page.is_leaf) {
-    path.push_back(page.ChildFor(key));
-    LOGLOG_RETURN_IF_ERROR(ReadPage(path.back(), &page));
+  PageSearch hit;
+  LOGLOG_RETURN_IF_ERROR(SearchPage(root_, key, &page, &hit));
+  while (!page.is_leaf()) {
+    path.push_back(hit.child);
+    LOGLOG_RETURN_IF_ERROR(SearchPage(path.back(), key, &page, &hit));
   }
-  std::vector<uint8_t> unused;
-  LOGLOG_RETURN_IF_ERROR(page.LeafLookup(key, &unused));
+  if (!hit.found) return Status::NotFound("key not in leaf");
   LOGLOG_RETURN_IF_ERROR(engine_->Execute(MakeEraseLeafOp(path.back(), key)));
   if (options_.merge_on_underflow && options_.logical_splits) {
     LOGLOG_RETURN_IF_ERROR(MaybeMerge(path));
@@ -553,13 +514,14 @@ Status Btree::MaybeMerge(const std::vector<ObjectId>& path) {
   ObjectId parent_id = path[path.size() - 2];
   BtreePage leaf, parent;
   LOGLOG_RETURN_IF_ERROR(ReadPage(leaf_id, &leaf));
-  if (PageBytes(leaf) >= options_.max_page_bytes / 4) return Status::OK();
+  if (leaf.size() >= options_.max_page_bytes / 4) return Status::OK();
   LOGLOG_RETURN_IF_ERROR(ReadPage(parent_id, &parent));
 
   // Locate the leaf among the parent's children and pick the adjacent
   // sibling to merge with (prefer the right neighbor).
-  std::vector<ObjectId> children = {parent.first_child};
-  for (const BtreePage::InternalEntry& e : parent.internal_entries) {
+  std::vector<ObjectId> children = {parent.first_child()};
+  PageEntry e;
+  for (BtreePage::Cursor c = parent.entries(); c.Next(&e);) {
     children.push_back(e.child);
   }
   size_t idx = children.size();
@@ -585,8 +547,8 @@ Status Btree::MaybeMerge(const std::vector<ObjectId>& path) {
   BtreePage left, right;
   LOGLOG_RETURN_IF_ERROR(ReadPage(left_id, &left));
   LOGLOG_RETURN_IF_ERROR(ReadPage(right_id, &right));
-  if (!left.is_leaf || !right.is_leaf) return Status::OK();
-  if (PageBytes(left) + PageBytes(right) > options_.max_page_bytes) {
+  if (!left.is_leaf() || !right.is_leaf()) return Status::OK();
+  if (left.size() + right.size() > options_.max_page_bytes) {
     return Status::OK();  // combined page would overflow
   }
 
@@ -600,7 +562,7 @@ Status Btree::MaybeMerge(const std::vector<ObjectId>& path) {
   if (parent_id == root_) {
     BtreePage root;
     LOGLOG_RETURN_IF_ERROR(ReadPage(root_, &root));
-    if (!root.is_leaf && root.internal_entries.empty()) {
+    if (!root.is_leaf() && root.count() == 0) {
       ++stats_.root_collapses;
       LOGLOG_RETURN_IF_ERROR(
           engine_->Execute(MakeCollapseRootOp(root_, meta_id_)));
@@ -617,15 +579,17 @@ Status ValidateSubtree(RecoveryEngine* engine, ObjectId id, uint64_t lo,
                        std::vector<uint64_t>* in_order,
                        ObjectId* leftmost_leaf) {
   if (depth > 64) return Status::Corruption("tree too deep (cycle?)");
-  ObjectValue bytes;
-  LOGLOG_RETURN_IF_ERROR(engine->Read(id, &bytes));
+  Slice bytes;
+  LOGLOG_RETURN_IF_ERROR(engine->ReadView(id, &bytes));
   BtreePage page;
-  LOGLOG_RETURN_IF_ERROR(BtreePage::Deserialize(Slice(bytes), &page));
-  if (page.is_leaf) {
+  LOGLOG_RETURN_IF_ERROR(BtreePage::Parse(bytes, &page));
+  PageEntry e;
+  BtreePage::Cursor c = page.entries();
+  if (page.is_leaf()) {
     if (*leftmost_leaf == kInvalidObjectId) *leftmost_leaf = id;
     uint64_t prev = 0;
     bool first = true;
-    for (const BtreePage::LeafEntry& e : page.leaf_entries) {
+    while (c.Next(&e)) {
       if (!first && e.key <= prev) {
         return Status::Corruption("leaf keys out of order");
       }
@@ -638,22 +602,23 @@ Status ValidateSubtree(RecoveryEngine* engine, ObjectId id, uint64_t lo,
     }
     return Status::OK();
   }
+  // Each child's range ends at the next separator; peek one entry ahead.
+  bool has = c.Next(&e);
+  LOGLOG_RETURN_IF_ERROR(ValidateSubtree(engine, page.first_child(), lo,
+                                         has ? e.key : hi, depth + 1,
+                                         in_order, leftmost_leaf));
   uint64_t prev = lo;
-  LOGLOG_RETURN_IF_ERROR(ValidateSubtree(
-      engine, page.first_child, lo,
-      page.internal_entries.empty() ? hi
-                                    : page.internal_entries.front().key,
-      depth + 1, in_order, leftmost_leaf));
-  for (size_t i = 0; i < page.internal_entries.size(); ++i) {
-    const BtreePage::InternalEntry& e = page.internal_entries[i];
+  while (has) {
+    PageEntry next;
+    const bool has_next = c.Next(&next);
     if (e.key < prev) return Status::Corruption("separators out of order");
-    uint64_t next_hi = i + 1 < page.internal_entries.size()
-                           ? page.internal_entries[i + 1].key
-                           : hi;
-    LOGLOG_RETURN_IF_ERROR(ValidateSubtree(engine, e.child, e.key, next_hi,
+    LOGLOG_RETURN_IF_ERROR(ValidateSubtree(engine, e.child, e.key,
+                                           has_next ? next.key : hi,
                                            depth + 1, in_order,
                                            leftmost_leaf));
     prev = e.key;
+    e = next;
+    has = has_next;
   }
   return Status::OK();
 }
@@ -673,11 +638,12 @@ Status Btree::Validate() {
     if (++guard > 1 << 20) return Status::Corruption("leaf chain cycle");
     BtreePage page;
     LOGLOG_RETURN_IF_ERROR(ReadPage(id, &page));
-    if (!page.is_leaf) return Status::Corruption("chain hit non-leaf");
-    for (const BtreePage::LeafEntry& e : page.leaf_entries) {
+    if (!page.is_leaf()) return Status::Corruption("chain hit non-leaf");
+    PageEntry e;
+    for (BtreePage::Cursor c = page.entries(); c.Next(&e);) {
       chained.push_back(e.key);
     }
-    id = page.next_leaf;
+    id = page.next_leaf();
   }
   if (chained != in_order) {
     return Status::Corruption("leaf chain disagrees with tree order");

@@ -32,7 +32,7 @@ void RegisterBtreeTransforms();
 struct BtreeOptions {
   /// Object-id range used by this tree (meta at id_base, pages above it).
   ObjectId id_base = 100'000;
-  /// Split a page when its serialized size exceeds this.
+  /// Split a page when its encoded size exceeds this.
   size_t max_page_bytes = 4096;
   /// Merge a leaf into a sibling when it shrinks below
   /// max_page_bytes / 4 and the pair fits in one page.
@@ -99,7 +99,11 @@ class Btree {
  private:
   Status LoadMeta();
   Status WriteMeta();
+  /// Validated views of a page through the engine's borrowed read; they
+  /// end at the next Execute.
   Status ReadPage(ObjectId id, BtreePage* out);
+  Status SearchPage(ObjectId id, uint64_t key, BtreePage* out,
+                    PageSearch* hit);
   ObjectId AllocPageId();
   /// Splits oversized pages along `path` (root last ... leaf first was
   /// recorded root-first; splits propagate upward).

@@ -1,154 +1,314 @@
 #include "domains/btree/btree_page.h"
 
-#include <algorithm>
-
 #include "common/coding.h"
 
 namespace loglog {
 
-ObjectId BtreePage::ChildFor(uint64_t key) const {
-  ObjectId child = first_child;
-  for (const InternalEntry& e : internal_entries) {
-    if (key >= e.key) {
-      child = e.child;
-    } else {
-      break;
+namespace {
+
+constexpr size_t kMaxVarintBytes = 10;
+
+Status BadVarint() {
+  return Status::Corruption("truncated or overlong varint64");
+}
+
+/// Resizes page bytes [off, off + old_len) to `new_len` bytes, moving the
+/// tail, and returns where they start.
+uint8_t* Resize(ObjectValue* page, size_t off, size_t old_len,
+                size_t new_len) {
+  if (new_len > old_len) {
+    page->insert(page->begin() + static_cast<ptrdiff_t>(off + old_len),
+                 new_len - old_len, uint8_t{0});
+  } else if (new_len < old_len) {
+    page->erase(page->begin() + static_cast<ptrdiff_t>(off + new_len),
+                page->begin() + static_cast<ptrdiff_t>(off + old_len));
+  }
+  return page->data() + off;
+}
+
+/// Rewrites the varint at page bytes [begin, end) as `v`.
+void SpliceVarint(ObjectValue* page, size_t begin, size_t end, uint64_t v) {
+  EncodeVarint64(Resize(page, begin, end - begin, VarintLength(v)), v);
+}
+
+/// Replaces `out` with a page header; the caller appends the entries.
+void StartPage(ObjectValue* out, bool leaf, ObjectId link, uint64_t n,
+               size_t entry_bytes) {
+  out->clear();
+  out->reserve(1 + 2 * kMaxVarintBytes + entry_bytes);
+  out->push_back(leaf ? 1 : 0);
+  if (leaf) {
+    PutVarint64(out, link);
+    PutVarint64(out, n);
+  } else {
+    PutVarint64(out, n);
+    PutVarint64(out, link);
+  }
+}
+
+void AppendBytes(ObjectValue* out, const uint8_t* begin, const uint8_t* end) {
+  out->insert(out->end(), begin, end);
+}
+
+}  // namespace
+
+Status BtreePage::Walk(Slice bytes, uint64_t key, BtreePage* out,
+                       PageSearch* hit) {
+  if (bytes.empty()) return Status::Corruption("empty page");
+  const uint8_t* const base = bytes.data();
+  const uint8_t* const limit = base + bytes.size();
+  const uint8_t* p = base + 1;
+  BtreePage page;
+  page.bytes_ = bytes;
+  page.is_leaf_ = base[0] != 0;
+  if (page.is_leaf_ &&
+      (p = DecodeVarint64(p, limit, &page.link_)) == nullptr) {
+    return BadVarint();
+  }
+  page.count_begin_ = static_cast<size_t>(p - base);
+  if ((p = DecodeVarint64(p, limit, &page.count_)) == nullptr) {
+    return BadVarint();
+  }
+  page.count_end_ = static_cast<size_t>(p - base);
+  if (page.count_ > static_cast<uint64_t>(limit - p)) {
+    return Status::Corruption("entry count too large");
+  }
+  if (!page.is_leaf_ &&
+      (p = DecodeVarint64(p, limit, &page.link_)) == nullptr) {
+    return BadVarint();
+  }
+  page.entries_begin_ = static_cast<size_t>(p - base);
+
+  // The search rides along the validating pass: `placed` once the first
+  // entry with key >= `key` is seen, `descending` while internal
+  // separators are still <= `key`.
+  bool placed = hit == nullptr;
+  bool descending = hit != nullptr && !page.is_leaf_;
+  if (hit != nullptr) *hit = PageSearch();
+  ObjectId child = page.link_;
+  for (uint64_t i = 0; i < page.count_; ++i) {
+    const uint8_t* const entry = p;
+    uint64_t k = 0;
+    uint64_t second = 0;  // value length (leaf) or child (internal)
+    if ((p = DecodeVarint64(p, limit, &k)) == nullptr ||
+        (p = DecodeVarint64(p, limit, &second)) == nullptr) {
+      return BadVarint();
+    }
+    const uint8_t* const value = p;
+    if (page.is_leaf_) {
+      if (second > static_cast<uint64_t>(limit - p)) {
+        return Status::Corruption("truncated length-prefixed value");
+      }
+      p += second;
+    } else if (descending) {
+      if (key >= k) {
+        child = second;
+      } else {
+        descending = false;
+      }
+    }
+    if (!placed && k >= key) {
+      placed = true;
+      hit->found = k == key;
+      hit->begin = static_cast<size_t>(entry - base);
+      hit->end = hit->found ? static_cast<size_t>(p - base) : hit->begin;
+      if (hit->found && page.is_leaf_) hit->value = Slice(value, second);
     }
   }
-  return child;
-}
-
-void BtreePage::LeafInsert(uint64_t key, Slice value) {
-  auto it = std::lower_bound(
-      leaf_entries.begin(), leaf_entries.end(), key,
-      [](const LeafEntry& e, uint64_t k) { return e.key < k; });
-  if (it != leaf_entries.end() && it->key == key) {
-    it->value = value.ToBytes();
-    return;
+  if (p != limit) return Status::Corruption("trailing page bytes");
+  if (hit != nullptr) {
+    if (!placed) hit->begin = hit->end = bytes.size();
+    if (!page.is_leaf_) hit->child = child;
   }
-  LeafEntry entry;
-  entry.key = key;
-  entry.value = value.ToBytes();
-  leaf_entries.insert(it, std::move(entry));
-}
-
-Status BtreePage::LeafLookup(uint64_t key, std::vector<uint8_t>* out) const {
-  auto it = std::lower_bound(
-      leaf_entries.begin(), leaf_entries.end(), key,
-      [](const LeafEntry& e, uint64_t k) { return e.key < k; });
-  if (it == leaf_entries.end() || it->key != key) {
-    return Status::NotFound("key not in leaf");
-  }
-  *out = it->value;
+  *out = page;
   return Status::OK();
 }
 
-bool BtreePage::LeafErase(uint64_t key) {
-  auto it = std::lower_bound(
-      leaf_entries.begin(), leaf_entries.end(), key,
-      [](const LeafEntry& e, uint64_t k) { return e.key < k; });
-  if (it == leaf_entries.end() || it->key != key) return false;
-  leaf_entries.erase(it);
+Status BtreePage::Parse(Slice bytes, BtreePage* out) {
+  return Walk(bytes, 0, out, nullptr);
+}
+
+Status BtreePage::Search(Slice bytes, uint64_t key, BtreePage* out,
+                         PageSearch* hit) {
+  return Walk(bytes, key, out, hit);
+}
+
+bool BtreePage::Cursor::Next(PageEntry* e) {
+  if (remaining_ == 0) return false;
+  uint64_t second = 0;
+  const uint8_t* p = DecodeVarint64(p_, limit_, &e->key);
+  if (p != nullptr) p = DecodeVarint64(p, limit_, &second);
+  if (p == nullptr ||
+      (is_leaf_ && second > static_cast<uint64_t>(limit_ - p))) {
+    remaining_ = 0;  // unreachable on a validated page
+    return false;
+  }
+  if (is_leaf_) {
+    e->child = kInvalidObjectId;
+    e->value = Slice(p, second);
+    p += second;
+  } else {
+    e->child = second;
+    e->value = Slice();
+  }
+  p_ = p;
+  --remaining_;
   return true;
 }
 
-void BtreePage::InternalInsert(uint64_t key, ObjectId child) {
-  auto it = std::lower_bound(
-      internal_entries.begin(), internal_entries.end(), key,
-      [](const InternalEntry& e, uint64_t k) { return e.key < k; });
-  internal_entries.insert(it, InternalEntry{key, child});
+BtreePage::Cursor BtreePage::entries() const {
+  Cursor c;
+  c.base_ = bytes_.data();
+  c.p_ = c.base_ + entries_begin_;
+  c.limit_ = c.base_ + bytes_.size();
+  c.remaining_ = count_;
+  c.is_leaf_ = is_leaf_;
+  return c;
 }
 
-uint64_t BtreePage::SplitInto(BtreePage* right) {
-  right->is_leaf = is_leaf;
-  if (is_leaf) {
-    size_t mid = leaf_entries.size() / 2;
-    right->leaf_entries.assign(leaf_entries.begin() + mid,
-                               leaf_entries.end());
-    leaf_entries.resize(mid);
-    return right->leaf_entries.front().key;
+size_t BtreePage::SizeAfterLeafPut(const PageSearch& hit, uint64_t key,
+                                   size_t value_size) const {
+  size_t size = bytes_.size() - (hit.end - hit.begin) + VarintLength(key) +
+                VarintLength(value_size) + value_size;
+  if (!hit.found) {
+    size = size - (count_end_ - count_begin_) + VarintLength(count_ + 1);
   }
-  // Internal split: the middle separator moves up, its child becomes the
-  // right page's first child.
-  size_t mid = internal_entries.size() / 2;
-  uint64_t up_key = internal_entries[mid].key;
-  right->first_child = internal_entries[mid].child;
-  right->internal_entries.assign(internal_entries.begin() + mid + 1,
-                                 internal_entries.end());
-  internal_entries.resize(mid);
-  return up_key;
-}
-
-ObjectValue BtreePage::Serialize() const {
-  ObjectValue out;
-  out.push_back(is_leaf ? 1 : 0);
-  if (is_leaf) {
-    PutVarint64(&out, next_leaf);
-    PutVarint64(&out, leaf_entries.size());
-    for (const LeafEntry& e : leaf_entries) {
-      PutVarint64(&out, e.key);
-      PutLengthPrefixed(&out, Slice(e.value));
-    }
-  } else {
-    PutVarint64(&out, internal_entries.size());
-    PutVarint64(&out, first_child);
-    for (const InternalEntry& e : internal_entries) {
-      PutVarint64(&out, e.key);
-      PutVarint64(&out, e.child);
-    }
-  }
-  return out;
-}
-
-Status BtreePage::Deserialize(Slice bytes, BtreePage* out) {
-  *out = BtreePage();
-  if (bytes.empty()) return Status::Corruption("empty page");
-  out->is_leaf = bytes[0] != 0;
-  bytes.RemovePrefix(1);
-  if (out->is_leaf) {
-    LOGLOG_RETURN_IF_ERROR(GetVarint64(&bytes, &out->next_leaf));
-  }
-  uint64_t n;
-  LOGLOG_RETURN_IF_ERROR(GetVarint64(&bytes, &n));
-  if (n > bytes.size()) return Status::Corruption("entry count too large");
-  if (out->is_leaf) {
-    out->leaf_entries.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      LeafEntry e;
-      LOGLOG_RETURN_IF_ERROR(GetVarint64(&bytes, &e.key));
-      Slice v;
-      LOGLOG_RETURN_IF_ERROR(GetLengthPrefixed(&bytes, &v));
-      e.value = v.ToBytes();
-      out->leaf_entries.push_back(std::move(e));
-    }
-  } else {
-    LOGLOG_RETURN_IF_ERROR(GetVarint64(&bytes, &out->first_child));
-    out->internal_entries.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      InternalEntry e;
-      LOGLOG_RETURN_IF_ERROR(GetVarint64(&bytes, &e.key));
-      LOGLOG_RETURN_IF_ERROR(GetVarint64(&bytes, &e.child));
-      out->internal_entries.push_back(e);
-    }
-  }
-  if (!bytes.empty()) return Status::Corruption("trailing page bytes");
-  return Status::OK();
+  return size;
 }
 
 std::string BtreePage::DebugString() const {
-  std::string out = is_leaf ? "leaf{" : "internal{";
-  if (is_leaf) {
-    for (const LeafEntry& e : leaf_entries) {
-      out += std::to_string(e.key) + ",";
-    }
-  } else {
-    out += "first=" + std::to_string(first_child) + " ";
-    for (const InternalEntry& e : internal_entries) {
-      out += std::to_string(e.key) + "->" + std::to_string(e.child) + ",";
-    }
+  std::string out = is_leaf_ ? "leaf{" : "internal{";
+  if (!is_leaf_) out += "first=" + std::to_string(link_) + " ";
+  PageEntry e;
+  for (Cursor c = entries(); c.Next(&e);) {
+    out += std::to_string(e.key);
+    if (!is_leaf_) out += "->" + std::to_string(e.child);
+    out += ",";
   }
   out += "}";
   return out;
+}
+
+ObjectValue BtreePage::EmptyLeaf() {
+  ObjectValue out;
+  StartPage(&out, /*leaf=*/true, kInvalidObjectId, 0, 0);
+  return out;
+}
+
+ObjectValue BtreePage::NewRoot(ObjectId left, uint64_t separator,
+                               ObjectId right) {
+  ObjectValue out;
+  StartPage(&out, /*leaf=*/false, left, 1, 2 * kMaxVarintBytes);
+  PutVarint64(&out, separator);
+  PutVarint64(&out, right);
+  return out;
+}
+
+Status BtreePage::LeafPut(ObjectValue* page, uint64_t key, Slice value) {
+  BtreePage view;
+  PageSearch hit;
+  LOGLOG_RETURN_IF_ERROR(Search(Slice(*page), key, &view, &hit));
+  if (!view.is_leaf_) return Status::InvalidArgument("not a leaf");
+  const size_t entry =
+      VarintLength(key) + VarintLength(value.size()) + value.size();
+  uint8_t* dst = Resize(page, hit.begin, hit.end - hit.begin, entry);
+  EncodeLengthPrefixed(EncodeVarint64(dst, key), value);
+  if (!hit.found) {
+    SpliceVarint(page, view.count_begin_, view.count_end_, view.count_ + 1);
+  }
+  return Status::OK();
+}
+
+Status BtreePage::LeafErase(ObjectValue* page, uint64_t key, bool* erased) {
+  BtreePage view;
+  PageSearch hit;
+  LOGLOG_RETURN_IF_ERROR(Search(Slice(*page), key, &view, &hit));
+  *erased = view.is_leaf_ && hit.found;
+  if (!*erased) return Status::OK();
+  Resize(page, hit.begin, hit.end - hit.begin, 0);
+  SpliceVarint(page, view.count_begin_, view.count_end_, view.count_ - 1);
+  return Status::OK();
+}
+
+Status BtreePage::InternalInsert(ObjectValue* page, uint64_t key,
+                                 ObjectId child) {
+  BtreePage view;
+  PageSearch hit;
+  LOGLOG_RETURN_IF_ERROR(Search(Slice(*page), key, &view, &hit));
+  if (view.is_leaf_) return Status::InvalidArgument("not internal");
+  uint8_t* dst =
+      Resize(page, hit.begin, 0, VarintLength(key) + VarintLength(child));
+  EncodeVarint64(EncodeVarint64(dst, key), child);
+  SpliceVarint(page, view.count_begin_, view.count_end_, view.count_ + 1);
+  return Status::OK();
+}
+
+Status BtreePage::InternalEraseChild(ObjectValue* page, ObjectId child) {
+  BtreePage view;
+  LOGLOG_RETURN_IF_ERROR(Parse(Slice(*page), &view));
+  if (view.is_leaf_) return Status::OK();
+  PageEntry e;
+  Cursor c = view.entries();
+  for (size_t begin = c.offset(); c.Next(&e); begin = c.offset()) {
+    if (e.child != child) continue;
+    Resize(page, begin, c.offset() - begin, 0);
+    SpliceVarint(page, view.count_begin_, view.count_end_, view.count_ - 1);
+    return Status::OK();
+  }
+  return Status::OK();
+}
+
+Status BtreePage::Split(Slice page, ObjectId right_id, ObjectValue* left,
+                        ObjectValue* right, uint64_t* separator) {
+  BtreePage view;
+  LOGLOG_RETURN_IF_ERROR(Parse(page, &view));
+  if (view.count_ == 0) {
+    return Status::InvalidArgument("split of a page with no entries");
+  }
+  const uint64_t n = view.count_;
+  const uint64_t mid = n / 2;
+  Cursor c = view.entries();
+  PageEntry e;
+  for (uint64_t i = 0; i < mid; ++i) c.Next(&e);
+  const uint8_t* const base = page.data();
+  const uint8_t* const first = base + view.entries_begin_;
+  const uint8_t* const cut = base + c.offset();
+  const uint8_t* const end = base + page.size();
+  c.Next(&e);  // entry `mid`
+  *separator = e.key;
+  if (view.is_leaf_) {
+    StartPage(left, true, right_id, mid, static_cast<size_t>(cut - first));
+    AppendBytes(left, first, cut);
+    StartPage(right, true, view.link_, n - mid,
+              static_cast<size_t>(end - cut));
+    AppendBytes(right, cut, end);
+    return Status::OK();
+  }
+  const uint8_t* const after_mid = base + c.offset();
+  StartPage(left, false, view.link_, mid, static_cast<size_t>(cut - first));
+  AppendBytes(left, first, cut);
+  StartPage(right, false, e.child, n - mid - 1,
+            static_cast<size_t>(end - after_mid));
+  AppendBytes(right, after_mid, end);
+  return Status::OK();
+}
+
+Status BtreePage::MergeLeaves(Slice left, Slice right, ObjectValue* out) {
+  BtreePage l, r;
+  LOGLOG_RETURN_IF_ERROR(Parse(left, &l));
+  LOGLOG_RETURN_IF_ERROR(Parse(right, &r));
+  if (!l.is_leaf_ || !r.is_leaf_) {
+    return Status::InvalidArgument("merge of non-leaves");
+  }
+  const uint8_t* const l_first = left.data() + l.entries_begin_;
+  const uint8_t* const l_end = left.data() + left.size();
+  const uint8_t* const r_first = right.data() + r.entries_begin_;
+  const uint8_t* const r_end = right.data() + right.size();
+  StartPage(out, true, r.link_, l.count_ + r.count_,
+            static_cast<size_t>((l_end - l_first) + (r_end - r_first)));
+  AppendBytes(out, l_first, l_end);
+  AppendBytes(out, r_first, r_end);
+  return Status::OK();
 }
 
 }  // namespace loglog

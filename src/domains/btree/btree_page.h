@@ -1,9 +1,9 @@
 #ifndef LOGLOG_DOMAINS_BTREE_BTREE_PAGE_H_
 #define LOGLOG_DOMAINS_BTREE_BTREE_PAGE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/slice.h"
 #include "common/status.h"
@@ -11,62 +11,143 @@
 
 namespace loglog {
 
-/// \brief In-memory form of a B+-tree page, (de)serialized to/from the
-/// recoverable object value.
-///
-/// Leaf pages hold (key, value) entries sorted by key. Internal pages
-/// hold a first child plus (separator key, child) entries: `child` covers
-/// keys >= its separator. The serialized size of a page is what the tree
-/// compares against the page-size limit to trigger splits.
-struct BtreePage {
-  struct LeafEntry {
-    uint64_t key = 0;
-    std::vector<uint8_t> value;
-  };
-  struct InternalEntry {
-    uint64_t key = 0;      // separator: child covers keys >= key
-    ObjectId child = kInvalidObjectId;
-  };
-
-  bool is_leaf = true;
-  std::vector<LeafEntry> leaf_entries;
-  /// Right-sibling leaf for range scans (kInvalidObjectId at the end).
-  ObjectId next_leaf = kInvalidObjectId;
-  ObjectId first_child = kInvalidObjectId;  // internal pages only
-  std::vector<InternalEntry> internal_entries;
-
-  size_t EntryCount() const {
-    return is_leaf ? leaf_entries.size() : internal_entries.size();
-  }
-
-  /// Child page that covers `key` (internal pages).
-  ObjectId ChildFor(uint64_t key) const;
-
-  /// Inserts or replaces a key in a leaf, keeping order.
-  void LeafInsert(uint64_t key, Slice value);
-  /// Looks up a key in a leaf; NotFound if absent.
-  Status LeafLookup(uint64_t key, std::vector<uint8_t>* out) const;
-  /// Removes a key from a leaf; returns whether it was present.
-  bool LeafErase(uint64_t key);
-
-  /// Inserts a separator/child pair into an internal page, keeping order.
-  void InternalInsert(uint64_t key, ObjectId child);
-
-  /// Splits off the upper half into `right`; returns the separator key
-  /// (the first key of `right`). Deterministic in the page contents —
-  /// the property that makes logical split logging replayable.
-  uint64_t SplitInto(BtreePage* right);
-
-  ObjectValue Serialize() const;
-  static Status Deserialize(Slice bytes, BtreePage* out);
-
-  std::string DebugString() const;
+/// One entry of a page, borrowed from its encoding.
+struct PageEntry {
+  uint64_t key = 0;
+  ObjectId child = kInvalidObjectId;  // internal pages
+  Slice value;                        // leaf pages
 };
 
-/// Serialized size of a page value (its flush/logging footprint).
-inline size_t PageBytes(const BtreePage& page) {
-  return page.Serialize().size();
-}
+/// Where a key falls in a page; filled by the pass that validates it.
+struct PageSearch {
+  /// The first entry whose key is >= the searched key starts at `begin`
+  /// (the insert position; the page size when there is none).
+  size_t begin = 0;
+  /// That entry's key equals the searched key.
+  bool found = false;
+  /// End of the found entry (== begin when not found).
+  size_t end = 0;
+  /// Leaf pages: the found entry's value.
+  Slice value;
+  /// Internal pages: the child that covers the searched key.
+  ObjectId child = kInvalidObjectId;
+};
+
+/// \brief A validated view of a B+-tree page, which is kept in exactly
+/// one encoding — the one that is cached, logged, flushed and searched:
+///
+///   leaf:     0x01 | varint next_leaf | varint n |
+///             n x (varint key, varint len, len bytes)
+///   internal: 0x00 | varint n | varint first_child |
+///             n x (varint key, varint child)
+///
+/// Entries are sorted by key; an internal entry's child covers keys >=
+/// its separator key, and first_child covers the keys below them all.
+/// There is no decoded form: pages are searched, iterated and edited on
+/// these bytes, and the encoded size is what the tree compares against
+/// the page-size limit to trigger splits.
+///
+/// Parse/Search check everything a page read must check — the entry
+/// count is bounded by the bytes after it, every varint and value length
+/// is bounds-checked, and no bytes trail the last entry — and return
+/// Corruption otherwise. The static edits validate their input the same
+/// way and leave it untouched on error. A view borrows its bytes.
+class BtreePage {
+ public:
+  /// Entry iterator in key order:
+  /// `for (auto c = page.entries(); c.Next(&e);)`.
+  class Cursor {
+   public:
+    bool Next(PageEntry* e);
+
+   private:
+    friend class BtreePage;
+    /// Byte offset (within the page) of the entry Next returns next.
+    size_t offset() const { return static_cast<size_t>(p_ - base_); }
+    const uint8_t* base_ = nullptr;
+    const uint8_t* p_ = nullptr;
+    const uint8_t* limit_ = nullptr;
+    uint64_t remaining_ = 0;
+    bool is_leaf_ = true;
+  };
+
+  static Status Parse(Slice bytes, BtreePage* out);
+  /// Parse, plus a search for `key` in the same pass.
+  static Status Search(Slice bytes, uint64_t key, BtreePage* out,
+                       PageSearch* hit);
+
+  bool is_leaf() const { return is_leaf_; }
+  /// Right-sibling leaf for range scans (kInvalidObjectId at the end, and
+  /// on internal pages).
+  ObjectId next_leaf() const { return is_leaf_ ? link_ : kInvalidObjectId; }
+  /// Child covering keys below the first separator (kInvalidObjectId on
+  /// leaves).
+  ObjectId first_child() const {
+    return is_leaf_ ? kInvalidObjectId : link_;
+  }
+  uint64_t count() const { return count_; }
+  /// Encoded size: the page's flush/logging footprint.
+  size_t size() const { return bytes_.size(); }
+  Slice bytes() const { return bytes_; }
+  Cursor entries() const;
+
+  /// Encoded size after LeafPut(key, value) of a value of `value_size`
+  /// bytes, where `hit` is this page's search for `key`.
+  size_t SizeAfterLeafPut(const PageSearch& hit, uint64_t key,
+                          size_t value_size) const;
+
+  std::string DebugString() const;
+
+  /// A leaf with no entries and no right sibling.
+  static ObjectValue EmptyLeaf();
+  /// An internal page over two children split at `separator`.
+  static ObjectValue NewRoot(ObjectId left, uint64_t separator,
+                             ObjectId right);
+
+  // In-place edits: each splices only the bytes that change and rewrites
+  // the count varint. `value` must not point into `page`.
+
+  /// Leaf: inserts key -> value in key order, or overwrites the value of
+  /// an existing key. InvalidArgument on an internal page.
+  static Status LeafPut(ObjectValue* page, uint64_t key, Slice value);
+  /// Leaf: removes `key` if present (*erased says whether it was); no-op
+  /// on an internal page.
+  static Status LeafErase(ObjectValue* page, uint64_t key, bool* erased);
+  /// Internal: inserts a separator/child pair before the first separator
+  /// >= key. InvalidArgument on a leaf.
+  static Status InternalInsert(ObjectValue* page, uint64_t key,
+                               ObjectId child);
+  /// Internal: removes the first entry pointing at `child` (no-op if none
+  /// does, or on a leaf).
+  static Status InternalEraseChild(ObjectValue* page, ObjectId child);
+
+  /// Cuts a page's n entries at n/2 by byte range; deterministic in the
+  /// page bytes — the property that makes logical split logging
+  /// replayable. A leaf keeps entries [0, n/2) chained to `right_id`; the
+  /// right page gets [n/2, n) and the old right sibling, and the
+  /// separator is its first key. An internal page keeps [0, n/2); entry
+  /// n/2's key moves up as the separator and its child becomes the right
+  /// page's first child, ahead of entries (n/2, n). InvalidArgument on a
+  /// page with no entries.
+  static Status Split(Slice page, ObjectId right_id, ObjectValue* left,
+                      ObjectValue* right, uint64_t* separator);
+  /// Leaf merge: `left`'s entries then `right`'s, chained to `right`'s
+  /// right sibling. InvalidArgument unless both are leaves.
+  static Status MergeLeaves(Slice left, Slice right, ObjectValue* out);
+
+ private:
+  /// Parse and, when `hit` is non-null, Search for `key`.
+  static Status Walk(Slice bytes, uint64_t key, BtreePage* out,
+                     PageSearch* hit);
+
+  Slice bytes_;
+  bool is_leaf_ = true;
+  ObjectId link_ = kInvalidObjectId;  // next_leaf or first_child
+  uint64_t count_ = 0;
+  size_t count_begin_ = 0;  // byte range of the count varint
+  size_t count_end_ = 0;
+  size_t entries_begin_ = 0;
+};
 
 }  // namespace loglog
 

@@ -373,6 +373,13 @@ Status RecoveryEngine::Read(ObjectId id, ObjectValue* out) {
   return cache_->GetValue(id, out);
 }
 
+Status RecoveryEngine::ReadView(ObjectId id, Slice* out) {
+  const ObjectValue* value = nullptr;
+  LOGLOG_RETURN_IF_ERROR(cache_->PeekValue(id, &value));
+  *out = Slice(*value);
+  return Status::OK();
+}
+
 bool RecoveryEngine::Exists(ObjectId id) {
   return cache_->ObjectExists(id);
 }

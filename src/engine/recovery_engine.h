@@ -84,6 +84,16 @@ class RecoveryEngine {
 
   /// Latest value of an object (NotFound if absent or deleted).
   Status Read(ObjectId id, ObjectValue* out);
+  /// Read without the copy: `*out` borrows the cached value, after the
+  /// same fault-in and cache Touch as Read (so eviction order, and every
+  /// count, is the same whichever of the two a caller uses).
+  ///
+  /// The view is invalidated by the next call that can evict, rewrite or
+  /// drop cached objects: Execute (it runs eviction, purging,
+  /// checkpoints and compaction), PurgeOne, FlushAll, Checkpoint,
+  /// Compact, Recover, and TxnManager::Execute and Rollback. Read,
+  /// ReadView and Exists — of this or any other object — leave it valid.
+  Status ReadView(ObjectId id, Slice* out);
   bool Exists(ObjectId id);
 
   /// Installs one minimal write-graph node (explicit PurgeCache).

@@ -12,6 +12,9 @@ namespace {
 /// "SHIP", little-endian.
 constexpr uint32_t kShipFrameMagic = 0x50494853;
 
+/// Every framed record carries at least its length and CRC words.
+constexpr size_t kMinFramedRecordBytes = 8;
+
 }  // namespace
 
 void EncodeShipFrame(const ShipBatch& batch, std::vector<uint8_t>* dst) {
@@ -49,6 +52,11 @@ Status DecodeShipFrame(Slice frame, ShipBatch* out) {
   }
   if (Crc32c(payload) != crc) {
     return Status::Corruption("ship frame: payload checksum mismatch");
+  }
+  // The CRC covers the payload, not the header: bound the header's record
+  // count by what the payload can hold before reserving for it.
+  if (count > payload.size() / kMinFramedRecordBytes) {
+    return Status::Corruption("ship frame: record count exceeds payload");
   }
   out->start_lsn = start;
   out->end_lsn = end;

@@ -10,76 +10,111 @@
 namespace loglog {
 namespace {
 
-TEST(BtreePageTest, LeafInsertLookupErase) {
+// Looks `key` up in an encoded page: NotFound, or OK with *out set.
+Status PageLookup(const ObjectValue& bytes, uint64_t key,
+                  std::vector<uint8_t>* out) {
   BtreePage page;
-  page.LeafInsert(5, "five");
-  page.LeafInsert(1, "one");
-  page.LeafInsert(3, "three");
-  ASSERT_EQ(page.leaf_entries.size(), 3u);
-  EXPECT_EQ(page.leaf_entries[0].key, 1u);
-  EXPECT_EQ(page.leaf_entries[2].key, 5u);
+  PageSearch hit;
+  LOGLOG_RETURN_IF_ERROR(BtreePage::Search(Slice(bytes), key, &page, &hit));
+  if (!hit.found) return Status::NotFound("key not in leaf");
+  *out = hit.value.ToBytes();
+  return Status::OK();
+}
+
+// Child covering `key` in an encoded internal page.
+ObjectId ChildFor(const ObjectValue& bytes, uint64_t key) {
+  BtreePage page;
+  PageSearch hit;
+  EXPECT_TRUE(BtreePage::Search(Slice(bytes), key, &page, &hit).ok());
+  return hit.child;
+}
+
+std::vector<PageEntry> EntriesOf(const BtreePage& page) {
+  std::vector<PageEntry> out;
+  PageEntry e;
+  for (BtreePage::Cursor c = page.entries(); c.Next(&e);) out.push_back(e);
+  return out;
+}
+
+BtreePage ParsePage(const ObjectValue& bytes) {
+  BtreePage page;
+  EXPECT_TRUE(BtreePage::Parse(Slice(bytes), &page).ok());
+  return page;
+}
+
+TEST(BtreePageTest, LeafInsertLookupErase) {
+  ObjectValue page = BtreePage::EmptyLeaf();
+  ASSERT_TRUE(BtreePage::LeafPut(&page, 5, "five").ok());
+  ASSERT_TRUE(BtreePage::LeafPut(&page, 1, "one").ok());
+  ASSERT_TRUE(BtreePage::LeafPut(&page, 3, "three").ok());
+  std::vector<PageEntry> entries = EntriesOf(ParsePage(page));
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0].key, 1u);
+  EXPECT_EQ(entries[2].key, 5u);
   std::vector<uint8_t> v;
-  ASSERT_TRUE(page.LeafLookup(3, &v).ok());
+  ASSERT_TRUE(PageLookup(page, 3, &v).ok());
   EXPECT_EQ(Slice(v).ToString(), "three");
-  EXPECT_TRUE(page.LeafLookup(4, &v).IsNotFound());
+  EXPECT_TRUE(PageLookup(page, 4, &v).IsNotFound());
   // Overwrite.
-  page.LeafInsert(3, "THREE");
-  ASSERT_TRUE(page.LeafLookup(3, &v).ok());
+  ASSERT_TRUE(BtreePage::LeafPut(&page, 3, "THREE").ok());
+  ASSERT_TRUE(PageLookup(page, 3, &v).ok());
   EXPECT_EQ(Slice(v).ToString(), "THREE");
-  EXPECT_EQ(page.leaf_entries.size(), 3u);
-  EXPECT_TRUE(page.LeafErase(3));
-  EXPECT_FALSE(page.LeafErase(3));
-  EXPECT_EQ(page.leaf_entries.size(), 2u);
+  EXPECT_EQ(ParsePage(page).count(), 3u);
+  bool erased = false;
+  ASSERT_TRUE(BtreePage::LeafErase(&page, 3, &erased).ok());
+  EXPECT_TRUE(erased);
+  ASSERT_TRUE(BtreePage::LeafErase(&page, 3, &erased).ok());
+  EXPECT_FALSE(erased);
+  EXPECT_EQ(ParsePage(page).count(), 2u);
 }
 
 TEST(BtreePageTest, SerializeRoundTrip) {
-  BtreePage leaf;
-  leaf.LeafInsert(7, "seven");
-  leaf.LeafInsert(2, "two");
-  ObjectValue bytes = leaf.Serialize();
+  ObjectValue bytes = BtreePage::EmptyLeaf();
+  ASSERT_TRUE(BtreePage::LeafPut(&bytes, 7, "seven").ok());
+  ASSERT_TRUE(BtreePage::LeafPut(&bytes, 2, "two").ok());
   BtreePage out;
-  ASSERT_TRUE(BtreePage::Deserialize(Slice(bytes), &out).ok());
-  EXPECT_TRUE(out.is_leaf);
-  ASSERT_EQ(out.leaf_entries.size(), 2u);
-  EXPECT_EQ(out.leaf_entries[0].key, 2u);
+  ASSERT_TRUE(BtreePage::Parse(Slice(bytes), &out).ok());
+  EXPECT_TRUE(out.is_leaf());
+  ASSERT_EQ(out.count(), 2u);
+  EXPECT_EQ(EntriesOf(out)[0].key, 2u);
 
-  BtreePage internal;
-  internal.is_leaf = false;
-  internal.first_child = 11;
-  internal.InternalInsert(10, 12);
-  internal.InternalInsert(20, 13);
-  bytes = internal.Serialize();
-  ASSERT_TRUE(BtreePage::Deserialize(Slice(bytes), &out).ok());
-  EXPECT_FALSE(out.is_leaf);
-  EXPECT_EQ(out.first_child, 11u);
-  EXPECT_EQ(out.ChildFor(5), 11u);
-  EXPECT_EQ(out.ChildFor(10), 12u);
-  EXPECT_EQ(out.ChildFor(15), 12u);
-  EXPECT_EQ(out.ChildFor(25), 13u);
+  bytes = BtreePage::NewRoot(/*left=*/11, /*separator=*/10, /*right=*/12);
+  ASSERT_TRUE(BtreePage::InternalInsert(&bytes, 20, 13).ok());
+  ASSERT_TRUE(BtreePage::Parse(Slice(bytes), &out).ok());
+  EXPECT_FALSE(out.is_leaf());
+  EXPECT_EQ(out.first_child(), 11u);
+  EXPECT_EQ(ChildFor(bytes, 5), 11u);
+  EXPECT_EQ(ChildFor(bytes, 10), 12u);
+  EXPECT_EQ(ChildFor(bytes, 15), 12u);
+  EXPECT_EQ(ChildFor(bytes, 25), 13u);
 }
 
 TEST(BtreePageTest, LeafSplitIsDeterministicMidpoint) {
-  BtreePage page;
-  for (uint64_t k = 1; k <= 10; ++k) page.LeafInsert(k, "v");
-  BtreePage right;
-  uint64_t sep = page.SplitInto(&right);
-  EXPECT_EQ(page.leaf_entries.size(), 5u);
-  EXPECT_EQ(right.leaf_entries.size(), 5u);
-  EXPECT_EQ(sep, right.leaf_entries.front().key);
+  ObjectValue page = BtreePage::EmptyLeaf();
+  for (uint64_t k = 1; k <= 10; ++k) {
+    ASSERT_TRUE(BtreePage::LeafPut(&page, k, "v").ok());
+  }
+  ObjectValue left, right;
+  uint64_t sep = 0;
+  ASSERT_TRUE(BtreePage::Split(Slice(page), 99, &left, &right, &sep).ok());
+  EXPECT_EQ(ParsePage(left).count(), 5u);
+  EXPECT_EQ(ParsePage(right).count(), 5u);
+  EXPECT_EQ(sep, EntriesOf(ParsePage(right)).front().key);
   EXPECT_EQ(sep, 6u);
 }
 
 TEST(BtreePageTest, InternalSplitMovesMiddleKeyUp) {
-  BtreePage page;
-  page.is_leaf = false;
-  page.first_child = 100;
-  for (uint64_t k = 1; k <= 5; ++k) page.InternalInsert(k * 10, 100 + k);
-  BtreePage right;
-  uint64_t sep = page.SplitInto(&right);
+  ObjectValue page = BtreePage::NewRoot(100, 10, 101);
+  for (uint64_t k = 2; k <= 5; ++k) {
+    ASSERT_TRUE(BtreePage::InternalInsert(&page, k * 10, 100 + k).ok());
+  }
+  ObjectValue left, right;
+  uint64_t sep = 0;
+  ASSERT_TRUE(BtreePage::Split(Slice(page), 99, &left, &right, &sep).ok());
   EXPECT_EQ(sep, 30u);
-  EXPECT_EQ(page.internal_entries.size(), 2u);
-  EXPECT_EQ(right.first_child, 103u);  // child of the promoted key
-  EXPECT_EQ(right.internal_entries.size(), 2u);
+  EXPECT_EQ(ParsePage(left).count(), 2u);
+  EXPECT_EQ(ParsePage(right).first_child(), 103u);  // promoted key's child
+  EXPECT_EQ(ParsePage(right).count(), 2u);
 }
 
 class BtreeModeTest : public testing::TestWithParam<bool> {};

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/coding.h"
+#include "btree_page_oracle.h"
 #include "common/random.h"
 #include "domains/btree/btree_page.h"
 #include "ops/op_builder.h"
@@ -94,7 +95,9 @@ TEST_P(DecodeFuzzTest, RandomBytesNeverCrashDecoders) {
     }
     {
       BtreePage page;
-      (void)BtreePage::Deserialize(Slice(junk), &page);
+      PageSearch hit;
+      (void)BtreePage::Parse(Slice(junk), &page);
+      (void)BtreePage::Search(Slice(junk), rng.Next(), &page, &hit);
     }
     {
       Slice s(junk);
@@ -221,6 +224,105 @@ TEST(DecodeTxnTest, CorruptBackchainLsnIsRejectedByRollback) {
   Status st = RollbackTxn(&cm, &log, &faults, plan, /*io_budget=*/1, &stats);
   EXPECT_TRUE(st.IsCorruption());
   EXPECT_EQ(stats.clrs_logged, 0u);
+}
+
+// Valid pages of both kinds whose varint fields take every length.
+std::vector<ObjectValue> PageCorpus(Random* rng) {
+  auto any = [&] { return rng->Next() >> rng->Uniform(64); };
+  std::vector<ObjectValue> corpus;
+  for (int i = 0; i < 12; ++i) {
+    ReferencePage page;
+    page.is_leaf = i % 2 == 0;
+    page.next_leaf = page.is_leaf && i % 4 == 0 ? kInvalidObjectId : any();
+    page.first_child = page.is_leaf ? kInvalidObjectId : any();
+    const size_t n = rng->Uniform(i < 4 ? 3 : 40);
+    for (size_t e = 0; e < n; ++e) {
+      if (page.is_leaf) {
+        page.LeafInsert(any(), Slice(rng->Bytes(rng->Uniform(
+                                   rng->OneIn(4) ? 200 : 8))));
+      } else {
+        page.InternalInsert(any(), any());
+      }
+    }
+    corpus.push_back(page.Serialize());
+  }
+  return corpus;
+}
+
+// The page validator behind every B-tree page read accepts exactly the
+// pages the decoding model accepts, rejects the rest with Corruption and,
+// run under ASan, never reads outside the page (each candidate sits in an
+// exactly-sized buffer).
+TEST_P(DecodeFuzzTest, PageValidatorAcceptsExactlyWhatReferenceAccepts) {
+  Random rng(GetParam() * 13 + 1);
+  size_t accepted = 0, rejected = 0;
+  for (const ObjectValue& page : PageCorpus(&rng)) {
+    for (int trial = 0; trial < 300; ++trial) {
+      std::vector<uint8_t> m = page;
+      switch (rng.Uniform(5)) {
+        case 0:  // flip a byte
+          if (!m.empty()) {
+            m[rng.Uniform(m.size())] ^=
+                static_cast<uint8_t>(1 + rng.Uniform(255));
+          }
+          break;
+        case 1:  // truncate
+          m.resize(rng.Uniform(m.size() + 1));
+          break;
+        case 2:  // trailing garbage
+          for (uint64_t n = rng.Range(1, 3); n > 0; --n) {
+            m.push_back(static_cast<uint8_t>(rng.Next()));
+          }
+          break;
+        case 3:  // stretch a varint with a continuation byte
+          m.insert(m.begin() + static_cast<ptrdiff_t>(rng.Uniform(m.size() + 1)),
+                   rng.OneIn(2) ? 0x80 : 0xff);
+          break;
+        default:  // unchanged
+          break;
+      }
+      const std::vector<uint8_t> exact(m.begin(), m.end());
+      ReferencePage ref;
+      const bool want = ReferencePage::Deserialize(Slice(exact), &ref).ok();
+      BtreePage view;
+      Status got = BtreePage::Parse(Slice(exact), &view);
+      ASSERT_EQ(got.ok(), want) << "trial " << trial;
+      PageSearch hit;
+      Status searched =
+          BtreePage::Search(Slice(exact), rng.Next(), &view, &hit);
+      ASSERT_EQ(searched.ok(), want) << "trial " << trial;
+      if (!want) {
+        EXPECT_TRUE(got.IsCorruption()) << got.ToString();
+        EXPECT_TRUE(searched.IsCorruption()) << searched.ToString();
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      // Accepted pages read back exactly as the model decodes them.
+      ASSERT_EQ(view.is_leaf(), ref.is_leaf);
+      ASSERT_EQ(view.count(), ref.EntryCount());
+      if (ref.is_leaf) {
+        EXPECT_EQ(view.next_leaf(), ref.next_leaf);
+      } else {
+        EXPECT_EQ(view.first_child(), ref.first_child);
+      }
+      size_t i = 0;
+      PageEntry e;
+      for (BtreePage::Cursor c = view.entries(); c.Next(&e); ++i) {
+        if (ref.is_leaf) {
+          EXPECT_EQ(e.key, ref.leaf_entries[i].key);
+          EXPECT_EQ(e.value.ToBytes(), ref.leaf_entries[i].value);
+        } else {
+          EXPECT_EQ(e.key, ref.internal_entries[i].key);
+          EXPECT_EQ(e.child, ref.internal_entries[i].child);
+        }
+      }
+      EXPECT_EQ(i, ref.EntryCount());
+    }
+  }
+  // Both outcomes must actually occur for the comparison to mean much.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 100u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecodeFuzzTest, testing::Values(1, 2, 3));

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/random.h"
 #include "engine/recovery_engine.h"
 #include "ops/op_builder.h"
@@ -158,6 +162,94 @@ TEST(EngineTest, FlushAllMakesStoreMatchCache) {
     EXPECT_EQ(cached, stored.value) << id;
   }
 }
+
+// The borrowed read's contract: ReadView performs the same fault-in and
+// cache Touch as Read, so two engines fed one op stream — one reading
+// through Read, one through ReadView — pick the same eviction victims and
+// end with identical counts, and the view shows Read's bytes. A view
+// survives reads of other objects (fault-ins included) up to the next
+// Execute; under ASan a dangling view would fail here.
+class ReadViewTest : public testing::TestWithParam<StorageBackend> {};
+
+std::vector<ObjectId> CachedIds(RecoveryEngine& engine) {
+  std::vector<ObjectId> ids;
+  engine.cache().table().ForEach(
+      [&](ObjectId id, const CachedObject&) { ids.push_back(id); });
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST_P(ReadViewTest, SameVictimsAndCountsAsRead) {
+  EngineOptions options;
+  options.backend = GetParam();
+  options.cache_capacity_objects = 12;
+  options.purge_threshold_ops = 6;
+  options.checkpoint_interval_ops = 50;
+  SimulatedDisk disk_read, disk_view;
+  RecoveryEngine by_read(options, &disk_read);
+  RecoveryEngine by_view(options, &disk_view);
+  constexpr ObjectId kObjects = 48;
+  for (ObjectId id = 1; id <= kObjects; ++id) {
+    const std::string v = "object-" + std::to_string(id);
+    ASSERT_TRUE(by_read.Execute(MakeCreate(id, v)).ok());
+    ASSERT_TRUE(by_view.Execute(MakeCreate(id, v)).ok());
+  }
+  Random rng(17);
+  for (int step = 0; step < 3000; ++step) {
+    const ObjectId x = 1 + rng.Uniform(kObjects);
+    if (rng.OneIn(3)) {
+      OperationDesc op;
+      switch (rng.Uniform(3)) {
+        case 0:
+          op = MakeAppend(x, Slice(rng.Bytes(1 + rng.Uniform(8))));
+          break;
+        case 1:
+          op = MakeCopy(x, 1 + rng.Uniform(kObjects));
+          break;
+        default:
+          op = MakePhysicalWrite(x, Slice(rng.Bytes(rng.Uniform(32))));
+          break;
+      }
+      ASSERT_TRUE(by_read.Execute(op).ok());
+      ASSERT_TRUE(by_view.Execute(op).ok());
+    } else {
+      ObjectValue read;
+      Slice view;
+      ASSERT_TRUE(by_read.Read(x, &read).ok());
+      ASSERT_TRUE(by_view.ReadView(x, &view).ok());
+      ASSERT_EQ(view.ToBytes(), read);
+      // Reads of other objects, fault-ins among them, keep the view.
+      for (int n = rng.Uniform(4); n > 0; --n) {
+        const ObjectId y = 1 + rng.Uniform(kObjects);
+        ObjectValue other;
+        Slice other_view;
+        ASSERT_TRUE(by_read.Read(y, &other).ok());
+        ASSERT_TRUE(by_view.ReadView(y, &other_view).ok());
+        ASSERT_EQ(other_view.ToBytes(), other);
+      }
+      ASSERT_EQ(view.ToBytes(), read);
+    }
+    ASSERT_EQ(CachedIds(by_read), CachedIds(by_view)) << "step " << step;
+  }
+  Slice absent;
+  EXPECT_TRUE(by_view.ReadView(kObjects + 1, &absent).IsNotFound());
+  EXPECT_EQ(by_read.cache().stats().evictions,
+            by_view.cache().stats().evictions);
+  EXPECT_GT(by_view.cache().stats().evictions, 0u);
+  EXPECT_EQ(by_read.cache().stats().nodes_installed,
+            by_view.cache().stats().nodes_installed);
+  EXPECT_EQ(by_read.stats().op_log_bytes, by_view.stats().op_log_bytes);
+  EXPECT_EQ(disk_read.stats().ToString(), disk_view.stats().ToString());
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ReadViewTest,
+                         testing::Values(StorageBackend::kDualWrite,
+                                         StorageBackend::kLogStore),
+                         [](const testing::TestParamInfo<StorageBackend>& i) {
+                           return i.param == StorageBackend::kDualWrite
+                                      ? std::string("DualWrite")
+                                      : std::string("LogStore");
+                         });
 
 }  // namespace
 }  // namespace loglog

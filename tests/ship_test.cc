@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "backup/backup_manager.h"
+#include "common/coding.h"
 #include "engine/recovery_engine.h"
 #include "ops/op_builder.h"
 #include "ship/divergence_audit.h"
@@ -76,6 +77,25 @@ TEST(ShipFrameTest, DetectsDamage) {
   padded.push_back(0xab);
   ShipBatch out;
   EXPECT_TRUE(DecodeShipFrame(Slice(padded), &out).IsCorruption());
+}
+
+TEST(ShipFrameTest, RejectsRecordCountBeyondPayload) {
+  std::vector<uint8_t> frame;
+  EncodeShipFrame(MakeBatch(1, 3), &frame);
+  // The count word (after magic and the two LSNs) is outside the payload
+  // CRC; a huge count must be refused before anything is sized by it.
+  constexpr size_t kCountOffset = 4 + 8 + 8;
+  for (uint32_t count : {4u, 0x10000u, 0xffffffffu}) {
+    std::vector<uint8_t> damaged = frame;
+    EncodeFixed32(damaged.data() + kCountOffset, count);
+    ShipBatch out;
+    Status st = DecodeShipFrame(Slice(damaged), &out);
+    EXPECT_TRUE(st.IsCorruption()) << count << ": " << st.ToString();
+    // A count the payload cannot hold reserves nothing.
+    if (count > 4) {
+      EXPECT_EQ(out.records.capacity(), 0u) << count;
+    }
+  }
 }
 
 // --- End-to-end replication ------------------------------------------

@@ -298,10 +298,9 @@ TEST(TxnTest, BtreeInsertRollsBackByErase) {
   CrashHarness h{EngineOptions{}};
   RegisterBtreeTransforms();
   const ObjectId page_id = 777;
-  BtreePage page;
-  page.LeafInsert(7, Slice("seven"));
-  ASSERT_TRUE(
-      h.Execute(MakeCreate(page_id, Slice(page.Serialize()))).ok());
+  ObjectValue page = BtreePage::EmptyLeaf();
+  ASSERT_TRUE(BtreePage::LeafPut(&page, 7, Slice("seven")).ok());
+  ASSERT_TRUE(h.Execute(MakeCreate(page_id, Slice(page))).ok());
 
   // Fresh-key insert: exactly inverted by erase (logical, no image).
   OperationDesc insert;
@@ -334,11 +333,12 @@ TEST(TxnTest, BtreeInsertRollsBackByErase) {
   ObjectValue bytes;
   ASSERT_TRUE(h.engine().Read(page_id, &bytes).ok());
   BtreePage after;
-  ASSERT_TRUE(BtreePage::Deserialize(Slice(bytes), &after).ok());
-  std::vector<uint8_t> value;
-  EXPECT_TRUE(after.LeafLookup(42, &value).IsNotFound());
-  ASSERT_TRUE(after.LeafLookup(7, &value).ok());
-  EXPECT_EQ(AsString(value), "seven");
+  PageSearch hit;
+  ASSERT_TRUE(BtreePage::Search(Slice(bytes), 42, &after, &hit).ok());
+  EXPECT_FALSE(hit.found);
+  ASSERT_TRUE(BtreePage::Search(Slice(bytes), 7, &after, &hit).ok());
+  ASSERT_TRUE(hit.found);
+  EXPECT_EQ(AsString(hit.value.ToBytes()), "seven");
   EXPECT_TRUE(h.VerifyAgainstReference().ok());
 }
 
