@@ -15,9 +15,10 @@ namespace loglog {
 struct CacheStats;
 
 /// Called with every record of recovery's "recovery.log_scan" walk, in
-/// log order, and the record's framed device extent (offset, size).
-using LogScanFn =
-    std::function<void(const LogRecord& rec, uint64_t offset, uint64_t size)>;
+/// log order, and the record's framed device extent (offset, size). An
+/// error (a log the rebuild cannot trust) fails recovery.
+using LogScanFn = std::function<Status(const LogRecord& rec, uint64_t offset,
+                                       uint64_t size)>;
 
 /// \brief Where installed object state lives: the one seam between the
 /// cache manager's write-graph machinery and the durability backend.

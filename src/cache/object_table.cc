@@ -24,13 +24,17 @@ CachedObject& ObjectTable::GetOrCreate(ObjectId id) {
 void ObjectTable::Erase(ObjectId id) {
   auto it = objects_.find(id);
   if (it == objects_.end()) return;
-  if (!it->second.dirty_) clean_.erase({it->second.last_access_, id});
+  if (it->second.dirty()) {
+    DropDirty(&it->second);
+  } else {
+    clean_.erase({it->second.last_access_, id});
+  }
   objects_.erase(it);
 }
 
 void ObjectTable::Touch(CachedObject* obj) {
   uint64_t stamp = ++access_clock_;
-  if (!obj->dirty_) {
+  if (!obj->dirty()) {
     auto node = clean_.extract({obj->last_access_, obj->id_});
     node.value().first = stamp;
     clean_.insert(std::move(node));
@@ -39,19 +43,31 @@ void ObjectTable::Touch(CachedObject* obj) {
 }
 
 void ObjectTable::SetDirty(CachedObject* obj, bool dirty) {
-  if (obj->dirty_ == dirty) return;
-  obj->dirty_ = dirty;
+  if (obj->dirty() == dirty) return;
   if (dirty) {
     clean_.erase({obj->last_access_, obj->id_});
+    obj->dirty_slot_ = dirty_.size();
+    dirty_.push_back(obj);
   } else {
+    DropDirty(obj);
     clean_.emplace(obj->last_access_, obj->id_);
   }
 }
 
+void ObjectTable::DropDirty(CachedObject* obj) {
+  // Swap-remove: the last listed object takes obj's slot.
+  CachedObject* last = dirty_.back();
+  dirty_[obj->dirty_slot_] = last;
+  last->dirty_slot_ = obj->dirty_slot_;
+  dirty_.pop_back();
+  obj->dirty_slot_ = CachedObject::kClean;
+}
+
 std::vector<DotEntry> ObjectTable::DirtySnapshot() const {
   std::vector<DotEntry> out;
-  for (const auto& [id, obj] : objects_) {
-    if (obj.dirty_) out.push_back(DotEntry{id, obj.rsi, !obj.exists});
+  out.reserve(dirty_.size());
+  for (const CachedObject* obj : dirty_) {
+    out.push_back(DotEntry{obj->id_, obj->rsi, !obj->exists});
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #ifndef LOGLOG_CACHE_OBJECT_TABLE_H_
 #define LOGLOG_CACHE_OBJECT_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <set>
@@ -35,15 +36,18 @@ struct CachedObject {
   bool last_full_image = false;
 
   /// Cached version differs from the stable version (set through
-  /// ObjectTable::SetDirty, which keeps the eviction order).
-  bool dirty() const { return dirty_; }
+  /// ObjectTable::SetDirty, which keeps the eviction order and the dirty
+  /// list).
+  bool dirty() const { return dirty_slot_ != kClean; }
   /// Access stamp for clean-eviction ordering (ObjectTable::Touch).
   uint64_t last_access() const { return last_access_; }
 
  private:
   friend class ObjectTable;
+  static constexpr size_t kClean = SIZE_MAX;
   ObjectId id_ = kInvalidObjectId;
-  bool dirty_ = false;
+  /// Position in ObjectTable::dirty_, or kClean.
+  size_t dirty_slot_ = kClean;
   uint64_t last_access_ = 0;
 };
 
@@ -51,11 +55,17 @@ struct CachedObject {
 /// dirty or clean.
 ///
 /// Clean objects are also kept ordered by (last_access, id), so the
-/// eviction victim is found in O(log n) instead of by a table scan; the
-/// table owns the access clock and the dirty flag to keep that order
-/// exact.
+/// eviction victim is found in O(log n) instead of by a table scan, and
+/// dirty objects are listed, so a checkpoint's dirty object table costs
+/// O(dirty); the table owns the access clock and the dirty flag to keep
+/// both exact.
 class ObjectTable {
  public:
+  ObjectTable() = default;
+  // dirty_ points into objects_.
+  ObjectTable(const ObjectTable&) = delete;
+  ObjectTable& operator=(const ObjectTable&) = delete;
+
   CachedObject* Find(ObjectId id);
   const CachedObject* Find(ObjectId id) const;
   /// A new entry starts clean with access stamp 0.
@@ -68,10 +78,10 @@ class ObjectTable {
   void SetDirty(CachedObject* obj, bool dirty);
 
   size_t size() const { return objects_.size(); }
-  size_t dirty_count() const { return objects_.size() - clean_.size(); }
+  size_t dirty_count() const { return dirty_.size(); }
 
   /// Snapshot of the dirty object table for a checkpoint record: every
-  /// dirty object with its rSI (Section 5).
+  /// dirty object with its rSI (Section 5). O(dirty).
   std::vector<DotEntry> DirtySnapshot() const;
 
   void ForEach(const std::function<void(ObjectId, CachedObject&)>& fn);
@@ -83,9 +93,14 @@ class ObjectTable {
   ObjectId OldestClean() const;
 
  private:
+  /// Unlists a dirty object; the caller decides where it goes next.
+  void DropDirty(CachedObject* obj);
+
   std::unordered_map<ObjectId, CachedObject> objects_;
   /// Clean objects as (last_access, id), oldest first.
   std::set<std::pair<uint64_t, ObjectId>> clean_;
+  /// Dirty objects, unordered (entries of objects_ never move).
+  std::vector<CachedObject*> dirty_;
   uint64_t access_clock_ = 0;
 };
 

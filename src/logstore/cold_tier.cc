@@ -1,5 +1,6 @@
 #include "logstore/cold_tier.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/metrics.h"
@@ -42,8 +43,13 @@ Status ColdTier::Read(uint64_t offset, uint64_t size,
   out->reserve(size);
   uint64_t at = offset;
   uint64_t remaining = size;
-  for (const ColdSegment& seg : segments_) {
-    if (remaining == 0) break;
+  // Segments are contiguous and sorted: the one holding `offset` is the
+  // last that starts at or below it.
+  auto first = std::ranges::upper_bound(segments_, offset, {},
+                                        &ColdSegment::start_offset);
+  if (first != segments_.begin()) --first;
+  for (auto it = first; it != segments_.end() && remaining != 0; ++it) {
+    const ColdSegment& seg = *it;
     if (at >= seg.end_offset()) continue;
     if (at < seg.start_offset) break;  // gap: coverage ended
     const uint64_t within = at - seg.start_offset;

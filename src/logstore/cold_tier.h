@@ -54,7 +54,8 @@ class ColdTier {
 
   /// Faulted read of [offset, offset+size). The range must lie within
   /// cold coverage; reads crossing into the hot tier are the device's
-  /// job to split.
+  /// job to split. The first segment is found by binary search, so a read
+  /// costs O(log segments) plus the segments it spans.
   Status Read(uint64_t offset, uint64_t size,
               std::vector<uint8_t>* out) const;
 

@@ -14,6 +14,7 @@ LogIndex::LogIndex()
 
 void LogIndex::Publish(ObjectId id, Lsn lsn, uint64_t offset, uint64_t size) {
   Put(IndexCheckpointEntry{id, lsn, offset, size});
+  changed_.insert(id);
   publishes_->Inc();
   RefreshGauges();
 }
@@ -28,12 +29,18 @@ void LogIndex::Put(const IndexCheckpointEntry& entry) {
   slot.by_lsn = by_lsn_.insert(by_lsn_.end(), &slot.entry);
 }
 
-void LogIndex::Erase(ObjectId id) {
+bool LogIndex::Remove(ObjectId id) {
   auto it = by_id_.find(id);
-  if (it == by_id_.end()) return;
+  if (it == by_id_.end()) return false;
   live_bytes_ -= it->second.entry.size;
   by_lsn_.erase(it->second.by_lsn);
   by_id_.erase(it);
+  return true;
+}
+
+void LogIndex::Erase(ObjectId id) {
+  if (!Remove(id)) return;
+  changed_.insert(id);
   RefreshGauges();
 }
 
@@ -66,17 +73,42 @@ std::vector<IndexCheckpointEntry> LogIndex::Snapshot() const {
   return out;
 }
 
+std::vector<IndexCheckpointEntry> LogIndex::TakeDelta() {
+  std::vector<IndexCheckpointEntry> out;
+  out.reserve(changed_.size());
+  for (ObjectId id : changed_) {
+    auto it = by_id_.find(id);
+    out.push_back(it == by_id_.end() ? IndexCheckpointEntry{id}
+                                     : it->second.entry);
+  }
+  changed_.clear();
+  return out;
+}
+
 void LogIndex::Reset(const std::vector<IndexCheckpointEntry>& entries) {
   by_lsn_.clear();
   by_id_.clear();
+  changed_.clear();
   live_bytes_ = 0;
   for (const IndexCheckpointEntry& e : entries) Put(e);
+  RefreshGauges();
+}
+
+void LogIndex::ApplyDelta(const std::vector<IndexCheckpointEntry>& entries) {
+  for (const IndexCheckpointEntry& e : entries) {
+    if (e.erased()) {
+      Remove(e.id);
+    } else {
+      Put(e);
+    }
+  }
   RefreshGauges();
 }
 
 void LogIndex::Clear() {
   by_lsn_.clear();
   by_id_.clear();
+  changed_.clear();
   live_bytes_ = 0;
   RefreshGauges();
 }

@@ -2,8 +2,9 @@
 #define LOGLOG_LOGSTORE_LOG_INDEX_H_
 
 #include <cstdint>
-#include <map>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/types.h"
@@ -23,9 +24,11 @@ class Gauge;
 /// size) is stable and current as of lsn", which is exactly the vSI the
 /// redo test needs, so the write-graph machinery collapses to index
 /// maintenance. The index itself is volatile — recovery rebuilds it from
-/// the last kIndexCheckpoint record plus the full-image records after it
-/// (see RecoveryDriver), which bounds restart cost by the checkpoint
-/// interval.
+/// the last base kIndexCheckpoint record, the deltas after it and the
+/// full-image records after those (see LogStoreTarget::BeginLogScan),
+/// which bounds restart cost by the interval between bases. The index
+/// remembers which ids changed since the last index checkpoint, so a
+/// delta costs what changed, not the whole index.
 class LogIndex {
  public:
   LogIndex();
@@ -60,12 +63,24 @@ class LogIndex {
   /// log-store truncation floor: bytes below it hold no live image.
   Lsn MinLsn() const;
 
-  /// Snapshot of every entry in id order — the kIndexCheckpoint payload.
+  /// Snapshot of every entry, in no particular order — a base
+  /// kIndexCheckpoint payload.
   std::vector<IndexCheckpointEntry> Snapshot() const;
 
-  /// Replaces the whole index from a checkpoint payload (recovery
+  /// Ids published or erased since the last TakeDelta/ForgetChanges.
+  size_t changed_count() const { return changed_.size(); }
+  /// A delta kIndexCheckpoint payload: the current entry of every changed
+  /// id, or an erasure (size 0) for a changed id no longer indexed. The
+  /// changes are forgotten.
+  std::vector<IndexCheckpointEntry> TakeDelta();
+  /// Forgets the changes (a base checkpoint captured them all).
+  void ForgetChanges() { changed_.clear(); }
+
+  /// Replaces the whole index from a base checkpoint payload (recovery
   /// rebuild reset point).
   void Reset(const std::vector<IndexCheckpointEntry>& entries);
+  /// Applies a delta checkpoint payload: puts, and erasures for size 0.
+  void ApplyDelta(const std::vector<IndexCheckpointEntry>& entries);
 
   void Clear();
 
@@ -79,6 +94,8 @@ class LogIndex {
   /// Inserts or replaces the entry for entry.id, keeping by_lsn_ and
   /// live_bytes_ in step.
   void Put(const IndexCheckpointEntry& entry);
+  /// Removes id's entry; false when there was none.
+  bool Remove(ObjectId id);
 
   /// Orders entries of by_id_ by (lsn, id). An entry is re-filed
   /// whenever its lsn changes; index LSNs are unique in practice (a full
@@ -95,8 +112,10 @@ class LogIndex {
     LsnOrder::iterator by_lsn;  // entry's place in by_lsn_
   };
 
-  std::map<ObjectId, Slot> by_id_;
+  /// Node-based, so the entry pointers by_lsn_ holds stay valid.
+  std::unordered_map<ObjectId, Slot> by_id_;
   LsnOrder by_lsn_;
+  std::unordered_set<ObjectId> changed_;
   uint64_t live_bytes_ = 0;
   Counter* publishes_;     // logstore.index.publishes
   Gauge* entries_gauge_;   // logstore.index.entries

@@ -1,6 +1,7 @@
 #include "logstore/logstore_target.h"
 
 #include <algorithm>
+#include <string>
 #include <unordered_map>
 
 #include "common/retry.h"
@@ -66,15 +67,33 @@ Status LogStoreTarget::Publish(const ObjectWrite& w) {
 }
 
 Lsn LogStoreTarget::BeginCheckpoint() {
-  // Recovery's rebuild starts from this snapshot, so the checkpoint's
-  // truncation must keep it.
+  // A delta costs what changed since the last index checkpoint. A base
+  // is due first in a run, and then whenever the deltas since the last
+  // one would carry more entries than a base: restart never applies
+  // more than one base's worth of deltas.
   LogRecord idx;
   idx.type = RecordType::kIndexCheckpoint;
-  idx.index_entries = index_.Snapshot();
+  const bool base = base_lsn_ == kInvalidLsn ||
+                    delta_entries_ + index_.changed_count() > index_.size();
+  if (base) {
+    idx.index_entries = index_.Snapshot();
+    index_.ForgetChanges();
+  } else {
+    idx.index_entries = index_.TakeDelta();
+    idx.ref_lsn = base_lsn_;
+    delta_entries_ += idx.index_entries.size();
+  }
   MetricsRegistry::Global()
       .GetCounter(metric::kLogstoreIndexCheckpoints)
       ->Inc();
-  return log_->Append(std::move(idx));
+  Lsn lsn = log_->Append(std::move(idx));
+  if (base) {
+    base_lsn_ = lsn;
+    delta_entries_ = 0;
+  }
+  // Recovery's rebuild starts from the base, so the checkpoint's
+  // truncation must keep it (and with it every delta that extends it).
+  return base_lsn_;
 }
 
 void LogStoreTarget::EndCheckpoint() {
@@ -90,21 +109,43 @@ void LogStoreTarget::EndCheckpoint() {
 }
 
 LogScanFn LogStoreTarget::BeginLogScan() {
-  // Start from the newest kIndexCheckpoint snapshot, then apply only
-  // publishes a later kInstall record evidences, pairing each installed
-  // object with its last full-image record (the install path guarantees
-  // that is its last writer). The redo tests assume the rebuilt index is
-  // an installed state, so an unevidenced publish (a lost lazy install
-  // record) is not applied: it only costs extra redo.
+  // Start from the newest base kIndexCheckpoint and apply the deltas
+  // that extend it, then apply only publishes a later kInstall record
+  // evidences, pairing each installed object with its last full-image
+  // record (the install path guarantees that is its last writer). The
+  // redo tests assume the rebuilt index is an installed state, so an
+  // unevidenced publish (a lost lazy install record) is not applied: it
+  // only costs extra redo. The evidence alone cannot replace the deltas:
+  // an image logged before the base but installed after it is cut away
+  // with the truncated prefix, so no pairing would find it.
   struct Image {
     IndexCheckpointEntry entry;
     bool tombstone = false;
   };
   index_.Clear();
-  return [this, images = std::unordered_map<ObjectId, Image>()](
-             const LogRecord& rec, uint64_t offset, uint64_t size) mutable {
+  // The next checkpoint (of the recovered run) writes a fresh base.
+  base_lsn_ = kInvalidLsn;
+  delta_entries_ = 0;
+  return [this, images = std::unordered_map<ObjectId, Image>(),
+          first_lsn = kInvalidLsn, base = kInvalidLsn](
+             const LogRecord& rec, uint64_t offset,
+             uint64_t size) mutable -> Status {
+    if (first_lsn == kInvalidLsn) first_lsn = rec.lsn;
     if (rec.type == RecordType::kIndexCheckpoint) {
-      index_.Reset(rec.index_entries);
+      if (rec.ref_lsn == kInvalidLsn) {
+        index_.Reset(rec.index_entries);
+        base = rec.lsn;
+      } else if (rec.ref_lsn == base) {
+        index_.ApplyDelta(rec.index_entries);
+      } else if (base != kInvalidLsn || rec.ref_lsn >= first_lsn) {
+        return Status::Corruption(
+            "index delta at lsn " + std::to_string(rec.lsn) +
+            " extends base " + std::to_string(rec.ref_lsn) +
+            ", not the last base on the log");
+      }
+      // Otherwise the delta's base was truncated away, which only a
+      // checkpoint that wrote a newer base does: that base follows on
+      // the retained log and supersedes the delta.
     } else if ((rec.type == RecordType::kOperation ||
                 rec.type == RecordType::kCompensation) &&
                IsFullImageOp(rec.op) && !rec.op.writes.empty()) {
@@ -123,6 +164,7 @@ LogScanFn LogStoreTarget::BeginLogScan() {
         }
       }
     }
+    return Status::OK();
   };
 }
 

@@ -16,8 +16,12 @@ namespace loglog {
 /// whole. A version whose record is not a full image (a delta or logical
 /// writer) is not Installable: it gets a W_IP identity write first. Cache
 /// misses re-decode the indexed record from the hot log or the cold tier.
-/// The index is volatile: each checkpoint logs it as a kIndexCheckpoint
-/// record, and recovery rebuilds it during its log scan.
+/// The index is volatile: each checkpoint logs a kIndexCheckpoint record,
+/// and recovery rebuilds the index during its log scan. The record is a
+/// delta (the entries changed since the previous one) over a full base,
+/// and a new base is written only once the deltas since the last one
+/// would carry more entries than the index holds; the checkpoint's
+/// truncation keeps the base and so every delta after it.
 class LogStoreTarget final : public InstallTarget {
  public:
   /// `cold_retention_full` off makes every checkpoint drop cold segments
@@ -55,6 +59,11 @@ class LogStoreTarget final : public InstallTarget {
   LogManager* log_;
   bool cold_retention_full_;
   LogIndex index_;
+  /// LSN of the last base kIndexCheckpoint (kInvalidLsn: none yet in this
+  /// engine's run, so the next checkpoint writes one).
+  Lsn base_lsn_ = kInvalidLsn;
+  /// Entries the deltas since base_lsn_ carried.
+  uint64_t delta_entries_ = 0;
   Counter* reads_log_;  // logstore.reads.log
 };
 

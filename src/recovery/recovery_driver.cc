@@ -236,8 +236,9 @@ Status RecoveryDriver::RunPhases(RecoveryStats* stats) {
       ++stats->log_records_total;
       builder.Add(rec);
       if (rebuild) {
-        rebuild(rec, cursor.record_offset(),
-                cursor.valid_end() - cursor.record_offset());
+        LOGLOG_RETURN_IF_ERROR(
+            rebuild(rec, cursor.record_offset(),
+                    cursor.valid_end() - cursor.record_offset()));
       }
     }
     LOGLOG_RETURN_IF_ERROR(cursor.status());

@@ -62,10 +62,13 @@ std::string LogDumpSummary::ToString() const {
                   static_cast<unsigned long long>(policy_bytes));
     out += buf;
   }
-  if (index_checkpoints > 0) {
-    std::snprintf(buf, sizeof(buf), " index_ckpt=%llu(%llub)",
-                  static_cast<unsigned long long>(index_checkpoints),
-                  static_cast<unsigned long long>(index_checkpoint_bytes));
+  if (index_bases + index_deltas > 0) {
+    std::snprintf(buf, sizeof(buf),
+                  " index_base=%llu(%llub) index_delta=%llu(%llub)",
+                  static_cast<unsigned long long>(index_bases),
+                  static_cast<unsigned long long>(index_base_bytes),
+                  static_cast<unsigned long long>(index_deltas),
+                  static_cast<unsigned long long>(index_delta_bytes));
     out += buf;
   }
   if (torn_tail) {
@@ -101,8 +104,10 @@ std::string LogDumpSummary::ToJson() const {
   w.Key("txn_marker_bytes").Uint(txn_marker_bytes);
   w.Key("compensations").Uint(compensations);
   w.Key("compensation_bytes").Uint(compensation_bytes);
-  w.Key("index_checkpoints").Uint(index_checkpoints);
-  w.Key("index_checkpoint_bytes").Uint(index_checkpoint_bytes);
+  w.Key("index_bases").Uint(index_bases);
+  w.Key("index_base_bytes").Uint(index_base_bytes);
+  w.Key("index_deltas").Uint(index_deltas);
+  w.Key("index_delta_bytes").Uint(index_delta_bytes);
   w.Key("payload_bytes").Uint(payload_bytes);
   w.Key("class_mix");
   w.BeginObject();
@@ -255,8 +260,13 @@ Status DumpLog(Slice log_bytes, std::string* out, LogDumpSummary* summary) {
         summary->compensation_bytes += encoded;
         break;
       case RecordType::kIndexCheckpoint:
-        ++summary->index_checkpoints;
-        summary->index_checkpoint_bytes += encoded;
+        if (rec.ref_lsn == kInvalidLsn) {
+          ++summary->index_bases;
+          summary->index_base_bytes += encoded;
+        } else {
+          ++summary->index_deltas;
+          summary->index_delta_bytes += encoded;
+        }
         break;
     }
     summary->payload_bytes += encoded;

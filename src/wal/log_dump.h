@@ -47,9 +47,13 @@ struct LogDumpSummary {
   uint64_t compensations = 0;
   uint64_t compensation_bytes = 0;
   /// kIndexCheckpoint control records (log-as-database backend) and their
-  /// payload bytes — what bounding logstore restart cost costs on the log.
-  uint64_t index_checkpoints = 0;
-  uint64_t index_checkpoint_bytes = 0;
+  /// payload bytes, bases (the whole index) and deltas (what changed
+  /// since the previous one) apart — what bounding logstore restart cost
+  /// costs on the log.
+  uint64_t index_bases = 0;
+  uint64_t index_base_bytes = 0;
+  uint64_t index_deltas = 0;
+  uint64_t index_delta_bytes = 0;
   bool torn_tail = false;
   /// LSN of the last fully-valid record before the tear (0 when the tear
   /// precedes any valid record; meaningless unless torn_tail).
@@ -61,7 +65,7 @@ struct LogDumpSummary {
   uint64_t total() const {
     return operations + checkpoints + installs + flush_txn_begins +
            flush_txn_commits + policy_decisions + txn_begins + txn_commits +
-           txn_aborts + compensations + index_checkpoints;
+           txn_aborts + compensations + index_bases + index_deltas;
   }
 
   /// Aborted fraction of resolved transactions, in percent (0 when no

@@ -1,5 +1,7 @@
 #include "wal/log_record.h"
 
+#include <algorithm>
+
 #include "adapt/log_choice.h"
 #include "common/coding.h"
 #include "common/crc32.h"
@@ -139,6 +141,10 @@ void LogRecord::EncodeTo(std::vector<uint8_t>* dst) const {
         PutVarint64(dst, e.offset);
         PutVarint64(dst, e.size);
       }
+      // A delta's base LSN, trailing and omitted on a base (as the
+      // checkpoint's txn watermark), so logs from before deltas existed
+      // decode as bases.
+      if (ref_lsn != kInvalidLsn) PutVarint64(dst, ref_lsn);
       break;
   }
 }
@@ -270,6 +276,19 @@ Status LogRecord::DecodeFrom(Slice* src, LogRecord* out) {
         LOGLOG_RETURN_IF_ERROR(GetVarint64(src, &e.offset));
         LOGLOG_RETURN_IF_ERROR(GetVarint64(src, &e.size));
         out->index_entries.push_back(e);
+      }
+      out->ref_lsn = kInvalidLsn;
+      if (!src->empty()) {
+        LOGLOG_RETURN_IF_ERROR(GetVarint64(src, &out->ref_lsn));
+        if (out->ref_lsn == kInvalidLsn || out->ref_lsn >= out->lsn) {
+          return Status::Corruption("index delta names a bad base lsn");
+        }
+      } else {
+        for (const IndexCheckpointEntry& e : out->index_entries) {
+          if (e.erased()) {
+            return Status::Corruption("erased entry in an index base");
+          }
+        }
       }
       break;
     }
@@ -406,9 +425,20 @@ std::string LogRecord::DebugString() const {
              " depth=" + std::to_string(policy.chain_depth) +
              " ewma=" + std::to_string(policy.ewma_size);
       break;
-    case RecordType::kIndexCheckpoint:
-      out += "index-checkpoint n=" + std::to_string(index_entries.size());
+    case RecordType::kIndexCheckpoint: {
+      if (ref_lsn == kInvalidLsn) {
+        out += "index-checkpoint base n=" +
+               std::to_string(index_entries.size());
+        break;
+      }
+      const size_t erased = static_cast<size_t>(std::ranges::count_if(
+          index_entries, &IndexCheckpointEntry::erased));
+      out += "index-checkpoint delta n=" +
+             std::to_string(index_entries.size() - erased) +
+             " erased=" + std::to_string(erased) +
+             " base=" + std::to_string(ref_lsn);
       break;
+    }
   }
   out += "}";
   return out;

@@ -53,14 +53,16 @@ enum class RecordType : uint8_t {
   /// crash mid-rollback resumes exactly after the last stable CLR. CLRs
   /// are never themselves undone.
   kCompensation = 10,
-  /// Log-as-database index checkpoint (src/logstore/): the complete
-  /// LogIndex — object id -> (LSN, device offset, framed size) of the
-  /// last full-image record — frozen at checkpoint time. A control
-  /// record: redo ignores it; the recovery analysis pass resets its
-  /// index rebuild to the last one it sees and overlays later records,
-  /// so restart cost is bounded by the checkpoint interval and index
-  /// entries may point below the truncation horizon (into the cold
-  /// tier).
+  /// Log-as-database index checkpoint (src/logstore/). A *base* holds
+  /// the complete LogIndex — object id -> (LSN, device offset, framed
+  /// size) of the last full-image record — frozen at checkpoint time; a
+  /// *delta* holds only the entries published or erased since the
+  /// previous index checkpoint, plus the LSN of the base it extends
+  /// (ref_lsn). A control record: redo ignores it; recovery's index
+  /// rebuild resets to each base it sees, applies the deltas after it
+  /// and overlays later records, so restart cost is bounded by the
+  /// interval between bases and index entries may point below the
+  /// truncation horizon (into the cold tier).
   kIndexCheckpoint = 11,
 };
 
@@ -83,15 +85,18 @@ struct InstallEntry {
 };
 
 /// One LogIndex entry frozen into a kIndexCheckpoint record: where the
-/// object's last full-image record lives on the log device.
+/// object's last full-image record lives on the log device. In a delta,
+/// size == 0 marks an erased id (a framed record is never 0 bytes).
 struct IndexCheckpointEntry {
   ObjectId id = kInvalidObjectId;
   /// LSN of the full-image record (also the object's vSI).
   Lsn lsn = kInvalidLsn;
   /// Absolute device offset of the framed record.
   uint64_t offset = 0;
-  /// Framed size (header + payload) of the record.
+  /// Framed size (header + payload) of the record; 0 for an erasure.
   uint64_t size = 0;
+
+  bool erased() const { return size == 0; }
 };
 
 /// One object value frozen into a flush-transaction begin record.
@@ -157,7 +162,8 @@ struct LogRecord {
   // kIndexCheckpoint
   std::vector<IndexCheckpointEntry> index_entries;
 
-  // kFlushTxnCommit: lsn of the matching begin record.
+  // kFlushTxnCommit: lsn of the matching begin record. kIndexCheckpoint:
+  // the base a delta extends (kInvalidLsn on a base).
   Lsn ref_lsn = kInvalidLsn;
 
   // kPolicyDecision: one adaptive-policy class change. Class / reason

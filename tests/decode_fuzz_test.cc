@@ -70,6 +70,15 @@ std::vector<LogRecord> TxnRecordCorpus() {
   idx.index_entries.push_back({/*id=*/9, /*lsn=*/14, /*offset=*/4096,
                                /*size=*/257});
   recs.push_back(idx);
+  // A delta over that base: one republished entry, one erasure.
+  LogRecord delta;
+  delta.type = RecordType::kIndexCheckpoint;
+  delta.lsn = 300;
+  delta.ref_lsn = 16;
+  delta.index_entries.push_back({/*id=*/5, /*lsn=*/200, /*offset=*/8192,
+                                 /*size=*/70});
+  delta.index_entries.push_back({/*id=*/9});
+  recs.push_back(delta);
   return recs;
 }
 
@@ -203,6 +212,102 @@ TEST(DecodeTxnTest, ZeroTxnIdPayloadsRejected) {
     EXPECT_TRUE(LogRecord::DecodeFrom(&s, &out).IsCorruption())
         << static_cast<int>(type);
   }
+}
+
+LogRecord IndexCheckpoint(Lsn lsn, Lsn base,
+                          std::vector<IndexCheckpointEntry> entries) {
+  LogRecord rec;
+  rec.type = RecordType::kIndexCheckpoint;
+  rec.lsn = lsn;
+  rec.ref_lsn = base;
+  rec.index_entries = std::move(entries);
+  return rec;
+}
+
+Status DecodeBytes(const std::vector<uint8_t>& bytes, LogRecord* out) {
+  Slice s(bytes);
+  LOGLOG_RETURN_IF_ERROR(LogRecord::DecodeFrom(&s, out));
+  return s.empty() ? Status::OK() : Status::Corruption("trailing bytes");
+}
+
+void ExpectSameIndexRecord(const LogRecord& got, const LogRecord& want) {
+  EXPECT_EQ(got.type, RecordType::kIndexCheckpoint);
+  EXPECT_EQ(got.lsn, want.lsn);
+  EXPECT_EQ(got.ref_lsn, want.ref_lsn);
+  ASSERT_EQ(got.index_entries.size(), want.index_entries.size());
+  for (size_t i = 0; i < want.index_entries.size(); ++i) {
+    const IndexCheckpointEntry& g = got.index_entries[i];
+    const IndexCheckpointEntry& w = want.index_entries[i];
+    EXPECT_EQ(g.id, w.id);
+    EXPECT_EQ(g.lsn, w.lsn);
+    EXPECT_EQ(g.offset, w.offset);
+    EXPECT_EQ(g.size, w.size);
+  }
+}
+
+TEST(DecodeIndexCheckpointTest, BaseAndDeltaRoundTrip) {
+  LogRecord base = IndexCheckpoint(
+      700, kInvalidLsn, {{5, 11, 128, 64}, {1u << 20, 600, 1u << 30, 300}});
+  LogRecord delta =
+      IndexCheckpoint(900, 700, {{5, 800, 9000, 65}, {1u << 20}, {77}});
+  for (const LogRecord& rec : {base, delta}) {
+    std::vector<uint8_t> bytes;
+    rec.EncodeTo(&bytes);
+    EXPECT_EQ(bytes.size(), rec.EncodedSize());
+    LogRecord out;
+    ASSERT_TRUE(DecodeBytes(bytes, &out).ok());
+    ExpectSameIndexRecord(out, rec);
+    // And through the device framing.
+    std::vector<uint8_t> framed;
+    FrameRecord(rec, &framed);
+    Slice s(framed);
+    LogRecord framed_out;
+    ASSERT_TRUE(ReadFramedRecord(&s, &framed_out).ok());
+    ExpectSameIndexRecord(framed_out, rec);
+  }
+  EXPECT_EQ(base.DebugString(), "Rec{lsn=700 type=index-checkpoint base n=2}");
+  EXPECT_EQ(delta.DebugString(),
+            "Rec{lsn=900 type=index-checkpoint delta n=1 erased=2 base=700}");
+}
+
+TEST(DecodeIndexCheckpointTest, RecordWithoutTrailerDecodesAsBase) {
+  // The layout before deltas existed: count, entries, nothing after.
+  std::vector<uint8_t> bytes;
+  bytes.push_back(static_cast<uint8_t>(RecordType::kIndexCheckpoint));
+  PutVarint64(&bytes, /*lsn=*/40);
+  PutVarint64(&bytes, /*count=*/1);
+  for (uint64_t v : {3u, 12u, 512u, 80u}) PutVarint64(&bytes, v);
+  LogRecord out;
+  out.ref_lsn = 99;  // stale field from a reused record
+  ASSERT_TRUE(DecodeBytes(bytes, &out).ok());
+  EXPECT_EQ(out.ref_lsn, kInvalidLsn);
+  ASSERT_EQ(out.index_entries.size(), 1u);
+  EXPECT_EQ(out.index_entries[0].offset, 512u);
+}
+
+TEST(DecodeIndexCheckpointTest, BadTrailersAreCorruption) {
+  // A base LSN of 300 takes a two-byte varint; cutting its last byte
+  // leaves a truncated varint, never a base.
+  LogRecord delta = IndexCheckpoint(400, 300, {{5, 350, 64, 20}});
+  std::vector<uint8_t> bytes;
+  delta.EncodeTo(&bytes);
+  bytes.pop_back();
+  LogRecord out;
+  EXPECT_TRUE(DecodeBytes(bytes, &out).IsCorruption());
+
+  // A zero base, or one at or after the delta itself.
+  for (Lsn bad : {Lsn{0}, Lsn{400}, Lsn{401}}) {
+    std::vector<uint8_t> b;
+    IndexCheckpoint(400, kInvalidLsn, {{5, 350, 64, 20}}).EncodeTo(&b);
+    PutVarint64(&b, bad);
+    EXPECT_TRUE(DecodeBytes(b, &out).IsCorruption()) << bad;
+  }
+
+  // An erasure belongs in a delta only.
+  std::vector<uint8_t> base_bytes;
+  IndexCheckpoint(400, kInvalidLsn, {{5, 350, 64, 20}, {6}})
+      .EncodeTo(&base_bytes);
+  EXPECT_TRUE(DecodeBytes(base_bytes, &out).IsCorruption());
 }
 
 TEST(DecodeTxnTest, CorruptBackchainLsnIsRejectedByRollback) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <vector>
+
 #include "cache/object_table.h"
 #include "common/random.h"
 
@@ -115,6 +119,52 @@ TEST(ObjectTableTest, OldestCleanMatchesReferenceScan) {
       }
     }
     EXPECT_GT(evictions, 100u);
+  }
+}
+
+// Differential: over random create/dirty/clean/erase sequences the dirty
+// list gives the same dirty object table as a scan of every cached
+// object, with each object's current rSI and liveness.
+TEST(ObjectTableTest, DirtySnapshotMatchesFullScan) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    Random rng(seed);
+    ObjectTable table;
+    for (int step = 0; step < 4000; ++step) {
+      ObjectId id = 1 + rng.Uniform(64);
+      switch (rng.Uniform(5)) {
+        case 0:
+          table.GetOrCreate(id);
+          break;
+        case 1:
+        case 2: {
+          CachedObject& obj = table.GetOrCreate(id);
+          table.SetDirty(&obj, true);
+          obj.rsi = 1 + rng.Uniform(1000);
+          obj.exists = !rng.OneIn(5);
+          break;
+        }
+        case 3:
+          table.SetDirty(&table.GetOrCreate(id), false);
+          break;
+        default:
+          table.Erase(id);
+          break;
+      }
+      auto key = [](const DotEntry& e) {
+        return std::tuple(e.id, e.rsi, e.dead);
+      };
+      std::vector<std::tuple<ObjectId, Lsn, bool>> want;
+      table.ForEach([&](ObjectId x, const CachedObject& obj) {
+        if (obj.dirty()) want.emplace_back(x, obj.rsi, !obj.exists);
+      });
+      std::vector<std::tuple<ObjectId, Lsn, bool>> got;
+      for (const DotEntry& e : table.DirtySnapshot()) got.push_back(key(e));
+      std::ranges::sort(want);
+      std::ranges::sort(got);
+      ASSERT_EQ(got, want) << "step " << step;
+      ASSERT_EQ(table.dirty_count(), want.size());
+    }
   }
 }
 

@@ -558,6 +558,12 @@ int RunLogstoreStats(const InspectOptions& opts) {
       live == 0 ? 0.0
                 : static_cast<double>(footprint) / static_cast<double>(live);
   MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  // Index checkpoints on the retained log: the base recovery restarts
+  // from and the deltas that extend it.
+  LogDumpSummary retained;
+  if (!(st = DumpLog(dev.Contents(), nullptr, &retained)).ok()) {
+    return fail("dump log", st);
+  }
 
   if (opts.json) {
     JsonWriter w;
@@ -567,6 +573,10 @@ int RunLogstoreStats(const InspectOptions& opts) {
     w.Key("entries").Uint(index.size());
     w.Key("live_bytes").Uint(live);
     w.Key("min_lsn").Uint(index.MinLsn());
+    w.Key("retained_bases").Uint(retained.index_bases);
+    w.Key("retained_base_bytes").Uint(retained.index_base_bytes);
+    w.Key("retained_deltas").Uint(retained.index_deltas);
+    w.Key("retained_delta_bytes").Uint(retained.index_delta_bytes);
     w.EndObject();
     w.Key("footprint");
     w.BeginObject();
@@ -604,6 +614,12 @@ int RunLogstoreStats(const InspectOptions& opts) {
   std::printf("  index: %zu entries, %llu live bytes, min lsn %llu\n",
               index.size(), static_cast<unsigned long long>(live),
               static_cast<unsigned long long>(index.MinLsn()));
+  std::printf("  index checkpoints on the retained log: %llu base (%llu"
+              " bytes) + %llu delta (%llu bytes)\n",
+              static_cast<unsigned long long>(retained.index_bases),
+              static_cast<unsigned long long>(retained.index_base_bytes),
+              static_cast<unsigned long long>(retained.index_deltas),
+              static_cast<unsigned long long>(retained.index_delta_bytes));
   std::printf("  footprint: %llu hot + %llu cold = %llu bytes"
               " (%llu dead, space amp %.2fx)\n",
               static_cast<unsigned long long>(dev.retained_bytes()),
