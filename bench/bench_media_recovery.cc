@@ -12,7 +12,7 @@
 #include "backup/backup_manager.h"
 #include "backup/media_recovery.h"
 #include "engine/recovery_engine.h"
-#include "sim/reference_executor.h"
+#include "sim/recoverability_oracle.h"
 #include "sim/workload.h"
 
 namespace loglog {
@@ -72,9 +72,10 @@ void BM_FuzzyBackup(benchmark::State& state) {
 
     state.PauseTiming();
     (void)recovered->FlushAll();
-    ReferenceExecutor ref;
-    (void)ref.ReplayLog(disk.log().ArchiveContents());
-    image_ok = CompareWithReference(ref, fresh.store()).ok();
+    RecoverabilityOracle ref;
+    DivergenceReport report;
+    image_ok = ref.Advance(disk.log().ArchiveContents(), kMaxLsn).ok() &&
+               ref.Compare(fresh.store(), &report, kMaxLsn).ok();
     state.ResumeTiming();
   }
   state.counters["bytes_copied"] = static_cast<double>(bstats.bytes_copied);

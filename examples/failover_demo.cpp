@@ -11,7 +11,7 @@
 
 #include "engine/recovery_engine.h"
 #include "ops/op_builder.h"
-#include "ship/divergence_audit.h"
+#include "sim/recoverability_oracle.h"
 #include "ship/log_shipper.h"
 #include "ship/replication_channel.h"
 #include "ship/standby_applier.h"

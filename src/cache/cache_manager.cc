@@ -52,15 +52,6 @@ CacheManager::CacheManager(SimulatedDisk* disk, LogManager* log,
   metrics_.graph_batches = reg.GetCounter(metric::kCmGraphBatches);
   metrics_.graph_batched_ops = reg.GetCounter(metric::kCmGraphBatchedOps);
   metrics_.flush_set_size = reg.GetHistogram(metric::kCmFlushSetSize);
-  if (flush_policy_ == FlushPolicy::kIdentityWrites &&
-      graph_kind == GraphKind::kW) {
-    // Identity writes cannot break W's flush sets apart: a blind write
-    // merges into the node owning the object, since W coalesces on any
-    // writeset overlap ("once objects need to be flushed together
-    // atomically, there is no way to flush them separately", Section 6).
-    // Fall back to the native atomic flush.
-    flush_policy_ = FlushPolicy::kNativeAtomic;
-  }
   if (target_ == nullptr) {
     target_ = std::make_unique<StoreTarget>(disk_, log_, flush_policy_);
   }
@@ -117,6 +108,15 @@ bool CacheManager::ObjectExists(ObjectId id) {
 Lsn CacheManager::CurrentVsi(ObjectId id) const {
   const CachedObject* obj = table_.Find(id);
   return obj != nullptr ? obj->vsi : target_->StableVsi(id);
+}
+
+void CacheManager::AdoptCompletedFlush(ObjectId id, Slice value, Lsn vsi,
+                                       bool exists) {
+  CachedObject* obj = table_.Find(id);
+  if (obj == nullptr || obj->vsi >= vsi) return;
+  obj->value = exists ? value.ToBytes() : ObjectValue{};
+  obj->vsi = vsi;
+  obj->exists = exists;
 }
 
 Lsn CacheManager::CurrentRsi(ObjectId id) const {

@@ -68,7 +68,7 @@ class CacheManager {
   /// Latest value of an object (cache, else the install target). NotFound
   /// if it does not exist or has been deleted. `io_budget` bounds
   /// transient-I/O retries on the cache-miss read (kMaxIoRetries by
-  /// default; the rollback path passes EngineOptions::rollback_io_retries).
+  /// default; the rollback path passes kRollbackIoRetries).
   Status GetValue(ObjectId id, ObjectValue* out,
                   int io_budget = kMaxIoRetries);
   /// GetValue without the copy: points `*out` at the cached value, after
@@ -86,6 +86,14 @@ class CacheManager {
   Lsn CurrentVsi(ObjectId id) const;
   /// rSI of a cached object (kInvalidLsn if clean or uncached).
   Lsn CurrentRsi(ObjectId id) const;
+
+  /// Recovery completed a committed flush transaction by writing `id`'s
+  /// frozen version (`vsi`; `exists` false for an erase) straight to the
+  /// stable store. A cached version older than that — redo rebuilt it
+  /// from the older stable version before the scan reached the flush —
+  /// takes the completed version, so no later read or install brings the
+  /// older one back. Newer or uncached versions are left alone.
+  void AdoptCompletedFlush(ObjectId id, Slice value, Lsn vsi, bool exists);
 
   /// Applies an executed (already logged) operation's results: updates
   /// cached values/vSIs/rSIs and adds the operation to the write graph.

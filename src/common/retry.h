@@ -16,6 +16,12 @@ namespace loglog {
 /// sees it.
 inline constexpr int kMaxIoRetries = 3;
 
+/// The tighter budget of the rollback path (TxnManager and the recovery
+/// loser pass): rollback already runs under duress, and a rollback that
+/// fails cleanly is re-runnable after crash-recovery, so failing fast is
+/// safe.
+inline constexpr int kRollbackIoRetries = 1;
+
 /// Runs `fn` (a callable returning Status), re-issuing it up to `budget`
 /// times while it fails with IoError. Other failure codes (Corruption,
 /// Aborted, NotFound...) are never retried — they are not transient device

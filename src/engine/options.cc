@@ -3,6 +3,16 @@
 namespace loglog {
 
 Status EngineOptions::Validate() const {
+  if (graph_kind == GraphKind::kW &&
+      flush_policy == FlushPolicy::kIdentityWrites) {
+    // A blind identity write merges into the W node owning the object
+    // (W coalesces on any writeset overlap), so it can never break a
+    // flush set apart: "once objects need to be flushed together
+    // atomically, there is no way to flush them separately" (Section 6).
+    return Status::InvalidArgument(
+        "graph kW rejects flush_policy kIdentityWrites: identity writes "
+        "cannot split W's flush sets");
+  }
   if (backend != StorageBackend::kLogStore) return Status::OK();
   if (!log_installs) {
     return Status::InvalidArgument(

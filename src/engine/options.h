@@ -107,12 +107,6 @@ struct EngineOptions {
   StorageBackend backend = StorageBackend::kDualWrite;
   /// Log-as-database tuning; only read when backend == kLogStore.
   LogStoreOptions logstore;
-  /// Transient-I/O retry budget on the rollback path (TxnManager and the
-  /// recovery loser pass). Tighter than the default kMaxIoRetries budget:
-  /// rollback already runs under duress, and a rollback that fails cleanly
-  /// is re-runnable after crash-recovery, so failing fast is safe.
-  int rollback_io_retries = 1;
-
   /// InvalidArgument for settings that cannot work together. Options are
   /// never rewritten: RecoveryEngine's Recover() and Execute() return
   /// this error instead.

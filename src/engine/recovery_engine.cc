@@ -49,7 +49,6 @@ Status RecoveryEngine::Recover(RecoveryStats* stats) {
   // Reseed the adaptive policy from the logged decision records: after
   // recovery each object resumes under the class it crashed with.
   driver.set_policy(policy_.get());
-  driver.set_rollback_io_retries(options_.rollback_io_retries);
   RecoveryStats* out = stats != nullptr ? stats : &local;
   LOGLOG_RETURN_IF_ERROR(driver.Run(out));
   max_recovered_txn_id_ = out->max_txn_id;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/retry.h"
 #include "fault/fault_injector.h"
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
@@ -99,7 +100,7 @@ Status TxnManager::Rollback(TxnId id) {
   Status undo_st = RollbackTxn(
       &engine_->cache(), &engine_->log(),
       &engine_->disk().fault_injector(), plan,
-      engine_->options().rollback_io_retries, &undo_stats_);
+      kRollbackIoRetries, &undo_stats_);
   if (!undo_st.ok()) {
     HealthRegistry::Global().Set(health::kTxnManager, HealthState::kFailing,
                                  "rollback failed: " + undo_st.ToString());

@@ -142,8 +142,9 @@ ProgressGauges& Progress() {
   return g;
 }
 
-/// A redone operation's captured results, applied to the cache manager in
-/// global LSN order after the workers join.
+/// A redone operation's captured results (or a completed flush
+/// transaction, whose frozen versions the cache adopts), applied to the
+/// cache manager in global LSN order after the workers join.
 struct AppliedOp {
   Lsn lsn = kInvalidLsn;
   const LogRecord* rec = nullptr;
@@ -246,9 +247,10 @@ Status ReplayOp(RedoTestKind redo_test, const AnalysisResult& analysis,
 /// values to the stable store wherever it is behind. The store writes go
 /// straight to the (thread-safe) store — any record that could observe
 /// them shares an object with this one and thus sits in this component,
-/// *after* this record in LSN order.
+/// *after* this record in LSN order. The view adopts the completed
+/// versions now and the cache at the merge, at this record's LSN.
 Status CompleteFlushTxn(StableStore* store, const LogRecord* rec,
-                        WorkerLocal* local) {
+                        ComponentView* view, WorkerLocal* local) {
   bool applied = false;
   for (const FlushValue& fv : rec->flush_values) {
     if (fv.erase) {
@@ -265,6 +267,15 @@ Status CompleteFlushTxn(StableStore* store, const LogRecord* rec,
       applied = true;
     }
   }
+  for (const FlushValue& fv : rec->flush_values) {
+    if (view->CurrentVsi(fv.id) >= fv.vsi) continue;
+    if (fv.erase) {
+      view->ApplyDelete(fv.id, fv.vsi);
+    } else {
+      view->ApplyWrite(fv.id, fv.value, fv.vsi);
+    }
+  }
+  local->applied.push_back({rec->lsn, rec, {}});
   if (applied) ++local->counters.flush_txns_completed;
   return Status::OK();
 }
@@ -360,7 +371,7 @@ Status ParallelRedo(SimulatedDisk* disk, CacheManager* cm,
         for (const LogRecord* rec : comp) {
           // Compensation records replay exactly like forward operations.
           st = rec->type == RecordType::kFlushTxnBegin
-                   ? CompleteFlushTxn(store, rec, local)
+                   ? CompleteFlushTxn(store, rec, &view, local)
                    : ReplayOp(redo_test, analysis, &view, rec, local);
           if (!st.ok()) break;
         }
@@ -422,6 +433,12 @@ Status ParallelRedo(SimulatedDisk* disk, CacheManager* cm,
   std::sort(applied.begin(), applied.end(),
             [](const AppliedOp& a, const AppliedOp& b) { return a.lsn < b.lsn; });
   for (AppliedOp& a : applied) {
+    if (a.rec->type == RecordType::kFlushTxnBegin) {
+      for (const FlushValue& fv : a.rec->flush_values) {
+        cm->AdoptCompletedFlush(fv.id, Slice(fv.value), fv.vsi, !fv.erase);
+      }
+      continue;
+    }
     LOGLOG_RETURN_IF_ERROR(
         cm->ApplyResults(a.rec->op, a.lsn, std::move(a.values)));
   }

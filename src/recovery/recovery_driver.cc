@@ -299,7 +299,7 @@ Status RecoveryDriver::RunPhases(RecoveryStats* stats) {
                    {{"corrupt", std::to_string(stats->corrupt_objects)}});
     // Seed the counter first: the repair ships the rebuilt recovery's
     // loser-rollback tail onto the live log, advancing it past next_lsn.
-    log_->SetNextLsn(next_lsn);
+    log_->RaiseNextLsn(next_lsn);
     LOGLOG_RETURN_IF_ERROR(RepairFromMedia(next_lsn - 1, stats));
     span.AddArg("repairs", stats->media_repairs);
     stats->media_recovery = true;
@@ -403,8 +403,10 @@ Status RecoveryDriver::RunPhases(RecoveryStats* stats) {
         ++stats->records_scanned;
         // Complete a committed flush transaction whose in-place writes
         // may have been interrupted: re-apply the frozen values to the
-        // stable store wherever it is behind. Uncommitted transactions
-        // never touched the stable store and are ignored.
+        // stable store wherever it is behind, and let the cache adopt
+        // them over any older version redo rebuilt before this point.
+        // Uncommitted transactions never touched the stable store and
+        // are ignored.
         if (!analysis.committed_flush_txns.contains(rec.lsn)) break;
         if (parallel) {
           parallel_work.push_back(rec);
@@ -426,6 +428,7 @@ Status RecoveryDriver::RunPhases(RecoveryStats* stats) {
                 Slice(fv.value), fv.vsi));
             applied = true;
           }
+          cm_->AdoptCompletedFlush(fv.id, Slice(fv.value), fv.vsi, !fv.erase);
         }
         if (applied) ++stats->flush_txns_completed;
         break;
@@ -460,7 +463,7 @@ Status RecoveryDriver::RunPhases(RecoveryStats* stats) {
 
   // Re-seed the LSN counter before the loser pass: its compensation
   // records are new appends past the scanned history.
-  log_->SetNextLsn(next_lsn);
+  log_->RaiseNextLsn(next_lsn);
 
   // Pass 3 — loser rollback: roll back every transaction the crash left
   // in flight before the system opens. Redo repeated history first, so
@@ -487,7 +490,7 @@ Status RecoveryDriver::RunPhases(RecoveryStats* stats) {
       plan.resume_skip = info.undo_skip;
       LOGLOG_RETURN_IF_ERROR(RollbackTxn(cm_, log_,
                                          &disk_->fault_injector(), plan,
-                                         rollback_io_retries_, &undo));
+                                         kRollbackIoRetries, &undo));
     }
     stats->loser_txns = undo.txns_rolled_back;
     stats->loser_clrs = undo.clrs_logged;

@@ -117,11 +117,6 @@ class RecoveryDriver {
   /// outlive Run().
   void set_policy(AdaptiveLogPolicy* policy) { policy_ = policy; }
 
-  /// I/O retry budget handed to the loser pass's rollback executor
-  /// (EngineOptions::rollback_io_retries; rollback fails fast because a
-  /// crashed rollback is simply resumed by the next recovery).
-  void set_rollback_io_retries(int n) { rollback_io_retries_ = n; }
-
  private:
   /// The phases themselves; Run wraps this with the "recovery.run" trace
   /// span and the recovery.* metric updates.
@@ -136,7 +131,6 @@ class RecoveryDriver {
   const BackupImage* repair_backup_;
   int redo_threads_;
   AdaptiveLogPolicy* policy_ = nullptr;
-  int rollback_io_retries_ = 1;
 };
 
 }  // namespace loglog

@@ -77,7 +77,7 @@ Status StandbyApplier::SeedFromBackup(const BackupImage& image,
   if (installed_upto != kInvalidLsn && installed_upto > applied_lsn_) {
     applied_lsn_ = installed_upto;
   }
-  log_->SetNextLsn(applied_lsn_ + 1);
+  log_->RaiseNextLsn(applied_lsn_ + 1);
   seeded_ = true;
   Ack(/*resync=*/false);
   return Status::OK();
@@ -196,7 +196,7 @@ Status StandbyApplier::ApplyBatch(ShipBatch batch) {
       log_->AppendReplicated(rec);
     }
     applied_lsn_ = rec.lsn;
-    log_->SetNextLsn(applied_lsn_ + 1);
+    log_->RaiseNextLsn(applied_lsn_ + 1);
   }
   LOGLOG_RETURN_IF_ERROR(ApplyOps(std::move(run)));
   return log_->ForceAll();
@@ -270,14 +270,13 @@ Status StandbyApplier::Promote(const EngineOptions& engine_options,
   out->disk = std::move(disk_);
   out->engine =
       std::make_unique<RecoveryEngine>(engine_options, out->disk.get());
-  LOGLOG_RETURN_IF_ERROR(out->engine->Recover(&out->recovery));
   // The standby's device ends at the last *operation* record, but the
   // watermark may sit further along (trailing control records are
   // processed without being appended). Pin the promoted node's LSN
-  // counter past the watermark so it never re-issues a primary LSN.
-  if (out->engine->log().last_assigned_lsn() < applied_lsn_) {
-    out->engine->log().SetNextLsn(applied_lsn_ + 1);
-  }
+  // counter past the watermark before its recovery appends the loser
+  // rollback, so it never re-issues a primary LSN.
+  out->engine->log().RaiseNextLsn(applied_lsn_ + 1);
+  LOGLOG_RETURN_IF_ERROR(out->engine->Recover(&out->recovery));
   out->rto_us = ElapsedUs(t0);
   span.AddArg("rto_us", out->rto_us);
   promote_rto_hist_->Observe(out->rto_us);

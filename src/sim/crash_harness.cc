@@ -1,5 +1,7 @@
 #include "sim/crash_harness.h"
 
+#include <utility>
+
 #include "obs/blackbox.h"
 #include "obs/flight_recorder.h"
 
@@ -53,46 +55,49 @@ void CrashHarness::Crash(bool tear_tail) {
   engine_ = std::make_unique<RecoveryEngine>(options_, disk_.get());
   InstallWalAuditor();
   if (has_backup_) engine_->set_repair_backup(&backup_);
+  exact_vsi_ = false;
 }
 
 Status CrashHarness::Recover(RecoveryStats* stats) {
   return engine_->Recover(stats);
 }
 
-Status CrashHarness::VerifyAgainstReference() {
+Status CrashHarness::CatchUp() {
   LOGLOG_RETURN_IF_ERROR(engine_->FlushAll());
   LOGLOG_RETURN_IF_ERROR(disk_->store().audit_status());
-  ReferenceExecutor ref;
-  LOGLOG_RETURN_IF_ERROR(ref.ReplayLog(disk_->log().ArchiveContents()));
-  if (options_.backend == StorageBackend::kLogStore) {
-    // The store never sees object writes under the log-as-database
-    // backend, so equivalence is asserted through the read path: every
-    // reference object must come back from the log/cold tier with the
-    // reference value, and the index must not claim anything beyond the
-    // reference's live set. (Compaction's W_IP rewrites are identity
-    // operations, so the reference replay is unaffected by them.)
-    for (const auto& [id, want] : ref.objects()) {
-      ObjectValue got;
-      Status st = engine_->Read(id, &got);
-      if (!st.ok()) {
-        return Status::Corruption("logstore read of object " +
-                                  std::to_string(id) +
-                                  " failed: " + st.ToString());
-      }
-      if (got != want) {
-        return Status::Corruption("logstore object " + std::to_string(id) +
-                                  " diverges from reference");
-      }
+  Slice archive = disk_->log().ArchiveContents();
+  for (RecoverabilityOracle* oracle : {&history_, &committed_}) {
+    LOGLOG_RETURN_IF_ERROR(oracle->Advance(archive, kMaxLsn));
+    if (oracle->consumed() != archive.size()) {
+      return Status::Corruption(
+          "stable archive is undecodable from offset " +
+          std::to_string(oracle->consumed()) + " of " +
+          std::to_string(archive.size()));
     }
-    for (const IndexCheckpointEntry& e : engine_->log_index()->Snapshot()) {
-      if (!ref.Exists(e.id)) {
-        return Status::Corruption("log index holds deleted/unknown object " +
-                                  std::to_string(e.id));
-      }
-    }
-    return Status::OK();
   }
-  return CompareWithReference(ref, disk_->store());
+  return Status::OK();
+}
+
+Status CrashHarness::CompareWith(const RecoverabilityOracle& oracle,
+                                 Lsn vsi_ceiling) {
+  DivergenceReport report;
+  // The store never sees object writes under the log-as-database
+  // backend, so equivalence is asserted through the read path.
+  if (options_.backend == StorageBackend::kLogStore) {
+    return oracle.CompareEngineReads(engine_.get(), &report, vsi_ceiling);
+  }
+  return oracle.Compare(disk_->store(), &report, vsi_ceiling);
+}
+
+Status CrashHarness::VerifyAgainstReference() {
+  LOGLOG_RETURN_IF_ERROR(CatchUp());
+  return CompareWith(history_, exact_vsi_ ? kInvalidLsn
+                                          : engine_->log().last_stable_lsn());
+}
+
+Status CrashHarness::VerifyCommitted() {
+  LOGLOG_RETURN_IF_ERROR(CatchUp());
+  return CompareWith(committed_, kInvalidLsn);
 }
 
 Status CrashHarness::TakeBackup() {
@@ -104,6 +109,22 @@ Status CrashHarness::TakeBackup() {
   backup_ = bm.image();
   has_backup_ = true;
   engine_->set_repair_backup(&backup_);
+  return Status::OK();
+}
+
+Status CrashHarness::Adopt(PromotionResult promo) {
+  disk_->store().set_write_validator(nullptr);
+  engine_.reset();
+  Slice archive = disk_->log().ArchiveContents();
+  for (RecoverabilityOracle* oracle : {&history_, &committed_}) {
+    LOGLOG_RETURN_IF_ERROR(oracle->Advance(archive, promo.applied_lsn));
+    oracle->FollowNewArchive();
+  }
+  disk_ = std::move(promo.disk);
+  engine_ = std::move(promo.engine);
+  InstallWalAuditor();
+  has_backup_ = false;
+  exact_vsi_ = true;
   return Status::OK();
 }
 

@@ -8,7 +8,8 @@
 #include "common/status.h"
 #include "engine/options.h"
 #include "engine/recovery_engine.h"
-#include "sim/reference_executor.h"
+#include "ship/standby_applier.h"
+#include "sim/recoverability_oracle.h"
 #include "storage/simulated_disk.h"
 
 namespace loglog {
@@ -17,9 +18,11 @@ namespace loglog {
 ///
 /// Owns the disk and the engine; Crash() destroys the engine (all
 /// volatile state dies, optionally tearing the final log force) and
-/// builds a fresh one over the surviving disk. VerifyRecovered() recovers,
-/// flushes, and compares the stable store against the reference replay of
-/// the stable history — the recoverability invariant of Theorem 2.
+/// builds a fresh one over the surviving disk. VerifyAgainstReference()
+/// flushes and compares the installed state against the sequential
+/// replay of the stable history — the recoverability invariant of
+/// Theorem 2. One pair of oracles lives as long as the harness and only
+/// ever decodes the archive bytes appended since the previous check.
 class CrashHarness {
  public:
   explicit CrashHarness(const EngineOptions& options, uint64_t seed = 42);
@@ -33,15 +36,28 @@ class CrashHarness {
 
   /// Simulates a crash: drops all volatile state. With `tear_tail`, also
   /// tears a random number of bytes off the final log force (a torn
-  /// write), bounded so earlier forces stay intact.
+  /// write), bounded so earlier forces stay intact. The torn force is one
+  /// Crash() issues itself, so it only ever holds records no check has
+  /// consumed yet.
   void Crash(bool tear_tail = false);
 
   /// Runs recovery on the post-crash engine.
   Status Recover(RecoveryStats* stats = nullptr);
 
-  /// FlushAll + compare stable store against the reference replay of the
-  /// stable log archive. Call after Recover() (or any quiesced point).
+  /// FlushAll, then compare the installed state (the stable store, or the
+  /// engine's reads under kLogStore) against the repeat-history oracle:
+  /// values and the live object set in both directions, and every vSI
+  /// within [last writer, stable log end] — media repair labels what it
+  /// rewrites with the stable log end — or, right after Adopt(), exactly
+  /// the last writer. Call after Recover() (or any quiesced point).
   Status VerifyAgainstReference();
+
+  /// The transactional invariant, values only: the installed state equals
+  /// the committed-only replay (baseline plus committed transactions in
+  /// commit order; losers leave no trace). Call at a quiesced point.
+  /// Meaningful under kNativeAtomic installation only: an identity write
+  /// logs a cache value that may embed an uncommitted effect.
+  Status VerifyCommitted();
 
   /// Takes an order-repaired fuzzy backup of the current stable state and
   /// installs it as the engine's media-repair image (it survives crashes;
@@ -49,11 +65,25 @@ class CrashHarness {
   /// the image.
   Status TakeBackup();
   bool has_backup() const { return has_backup_; }
+  const BackupImage& backup() const { return backup_; }
+
+  /// Failover: the primary dies and `promo`'s node becomes the harness's
+  /// disk and engine. The oracles first consume the dead primary's
+  /// archive through the promoted watermark — exactly the history the
+  /// promoted node claims — then follow the promoted node's archive. The
+  /// repair image belonged to the old history and is dropped.
+  Status Adopt(PromotionResult promo);
 
  private:
   /// Hooks the stable store with a WAL auditor bound to the current
   /// engine's log (re-installed after every crash).
   void InstallWalAuditor();
+
+  /// FlushAll and feed both oracles every new stable record.
+  Status CatchUp();
+
+  /// Compares the installed state against `oracle`.
+  Status CompareWith(const RecoverabilityOracle& oracle, Lsn vsi_ceiling);
 
   EngineOptions options_;
   std::unique_ptr<SimulatedDisk> disk_;
@@ -61,6 +91,11 @@ class CrashHarness {
   Random rng_;
   BackupImage backup_;
   bool has_backup_ = false;
+  RecoverabilityOracle history_{OracleFeed::kHistory};
+  RecoverabilityOracle committed_{OracleFeed::kCommitted};
+  /// True from Adopt() to the next Crash(): no media repair has run on
+  /// the promoted node, so its vSIs must match exactly.
+  bool exact_vsi_ = false;
 };
 
 }  // namespace loglog

@@ -120,7 +120,7 @@ class StableLogDevice {
 
   /// Every byte ever made stable, unaffected by truncation (but trimmed
   /// by TearTail, since torn bytes never count as stable). Verification
-  /// only: the reference executor replays this to compute ground truth.
+  /// only: the recoverability oracle replays this to compute ground truth.
   /// Materialized lazily as cold segments + the hot window; the view is
   /// cached until the next append/truncate/tear invalidates it.
   Slice ArchiveContents() const;

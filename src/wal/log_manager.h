@@ -1,6 +1,7 @@
 #ifndef LOGLOG_WAL_LOG_MANAGER_H_
 #define LOGLOG_WAL_LOG_MANAGER_H_
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -211,10 +212,14 @@ class LogManager {
   /// cold tier.
   bool StableExtentOf(Lsn lsn, uint64_t* offset, uint64_t* size) const;
 
-  /// Re-seeds the LSN counter after recovery scanned an existing log.
-  void SetNextLsn(Lsn next) {
+  /// Raises the LSN counter to at least `next` (recovery after scanning
+  /// an existing log, a standby after each applied record). Never lowers
+  /// it: a counter pinned past a replicated watermark — a promoted
+  /// standby's — survives recovery's re-seeding, and so does one that
+  /// media repair advanced.
+  void RaiseNextLsn(Lsn next) {
     std::lock_guard<std::mutex> lock(mu_);
-    next_lsn_ = next;
+    next_lsn_ = std::max(next_lsn_, next);
   }
 
   /// Decodes every stable record in order (via LogCursor — prefer the

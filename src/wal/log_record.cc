@@ -163,7 +163,12 @@ Status LogRecord::DecodeFrom(Slice* src, LogRecord* out) {
     case RecordType::kOperation:
       LOGLOG_RETURN_IF_ERROR(OperationDesc::DecodeFrom(src, &out->op));
       // Remaining bytes are the transactional trailer (framing hands the
-      // decoder exactly one payload, so presence is unambiguous).
+      // decoder exactly one payload, so presence is unambiguous). Without
+      // one the record is non-transactional: clear what a reused `out`
+      // may still hold from an earlier transactional record.
+      out->txn_id = 0;
+      out->prev_lsn = kInvalidLsn;
+      out->undo_images.clear();
       if (!src->empty()) {
         LOGLOG_RETURN_IF_ERROR(GetVarint64(src, &out->txn_id));
         if (out->txn_id == 0) {
@@ -209,6 +214,7 @@ Status LogRecord::DecodeFrom(Slice* src, LogRecord* out) {
       }
       // Optional trailing txn-id high-water mark (absent on logs written
       // before transactions existed).
+      out->txn_id = 0;
       if (!src->empty()) {
         LOGLOG_RETURN_IF_ERROR(GetVarint64(src, &out->txn_id));
         if (out->txn_id == 0) {

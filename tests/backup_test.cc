@@ -3,7 +3,7 @@
 #include "backup/backup_manager.h"
 #include "backup/media_recovery.h"
 #include "ops/op_builder.h"
-#include "sim/reference_executor.h"
+#include "sim/recoverability_oracle.h"
 #include "sim/workload.h"
 
 namespace loglog {
@@ -12,10 +12,12 @@ namespace {
 Status VerifyMediaRecovered(SimulatedDisk& source_disk,
                             RecoveryEngine* recovered) {
   LOGLOG_RETURN_IF_ERROR(recovered->FlushAll());
-  ReferenceExecutor ref;
+  RecoverabilityOracle ref;
   LOGLOG_RETURN_IF_ERROR(
-      ref.ReplayLog(source_disk.log().ArchiveContents()));
-  return CompareWithReference(ref, recovered->disk().store());
+      ref.Advance(source_disk.log().ArchiveContents(), kMaxLsn));
+  DivergenceReport report;
+  return ref.Compare(recovered->disk().store(), &report,
+                     recovered->log().last_stable_lsn());
 }
 
 TEST(BackupTest, QuiescentBackupRestoresExactly) {
@@ -224,9 +226,11 @@ TEST(PointInTimeRestoreTest, MatchesReferenceOnMixedWorkload) {
   SimulatedDisk pit;
   ASSERT_TRUE(
       RestoreToLsn(disk.log().ArchiveContents(), kMaxLsn, &pit).ok());
-  ReferenceExecutor ref;
-  ASSERT_TRUE(ref.ReplayLog(disk.log().ArchiveContents()).ok());
-  ASSERT_TRUE(CompareWithReference(ref, pit.store()).ok());
+  RecoverabilityOracle ref;
+  ASSERT_TRUE(ref.Advance(disk.log().ArchiveContents(), kMaxLsn).ok());
+  DivergenceReport report;
+  ASSERT_TRUE(ref.Compare(pit.store(), &report, kMaxLsn).ok())
+      << report.ToString();
 }
 
 TEST(BackupTest, EmptyStoreBackupIsTrivial) {

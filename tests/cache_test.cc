@@ -245,30 +245,20 @@ TEST(CacheManagerTest, EvictionDropsOnlyClean) {
   EXPECT_EQ(rig.cm.stats().evictions, 2u);
 }
 
-TEST(CacheManagerTest, IdentityPolicyUnderWFallsBackToAtomic) {
+TEST(CacheManagerTest, IdentityPolicyUnderWIsRejected) {
   // Under W a blind identity write merges into the node owning the
-  // object (writeset overlap), so peeling can never shrink vars; the CM
-  // falls back to the native atomic flush (Section 6: once objects must
-  // be flushed together in W, "there is no way to flush them
-  // separately").
-  Rig rig(GraphKind::kW, FlushPolicy::kIdentityWrites);
-  rig.disk.store().Write(1, "src", 0);
-  OperationDesc op;
-  op.op_class = OpClass::kLogical;
-  op.func = kFuncFirstCustom + 200;  // registered two-output transform
-  FunctionRegistry::Global().Register(
-      op.func, [](const OperationDesc&, const std::vector<ObjectValue>& r,
-                  std::vector<ObjectValue>* w) {
-        (*w)[0] = r[0];
-        (*w)[1] = r[0];
-        return Status::OK();
-      });
-  op.reads = {1};
-  op.writes = {2, 3};
-  rig.Run(op);
-  ASSERT_TRUE(rig.cm.PurgeOne().ok());
-  EXPECT_EQ(rig.cm.stats().identity_writes, 0u);
-  EXPECT_EQ(rig.disk.stats().atomic_multi_writes, 1u);
+  // object (writeset overlap), so peeling can never shrink vars (Section
+  // 6: once objects must be flushed together in W, "there is no way to
+  // flush them separately"). The pair is rejected, not rewritten.
+  EngineOptions opts;
+  opts.graph_kind = GraphKind::kW;
+  opts.flush_policy = FlushPolicy::kIdentityWrites;
+  EXPECT_TRUE(opts.Validate().IsInvalidArgument());
+  SimulatedDisk disk;
+  RecoveryEngine engine(opts, &disk);
+  EXPECT_TRUE(engine.Execute(MakeCreate(1, "x")).IsInvalidArgument());
+  opts.flush_policy = FlushPolicy::kNativeAtomic;
+  EXPECT_TRUE(opts.Validate().ok());
 }
 
 TEST(CacheManagerTest, InstallRecordsOptional) {

@@ -96,6 +96,12 @@ TEST_P(CrashMatrixTest, RecoversAtRandomCrashPoints) {
     opts.adaptive = MatrixAdaptiveOptions();
     opts.recovery_budget = p.budget;
   }
+  if (p.graph == GraphKind::kW && p.flush == FlushPolicy::kIdentityWrites) {
+    // The engine rejects this pair instead of silently running it as
+    // kNativeAtomic (which the matrix covers on its own).
+    ASSERT_TRUE(opts.Validate().IsInvalidArgument());
+    return;
+  }
 
   CrashHarness harness(opts, p.seed);
   MixedWorkloadOptions wopts;
@@ -157,6 +163,9 @@ std::vector<MatrixParam> BuildMatrix() {
   }
   out.push_back({LoggingMode::kLogical, GraphKind::kW,
                  FlushPolicy::kIdentityWrites,
+                 RedoTestKind::kRsiGeneralized, 1, true, 0});
+  out.push_back({LoggingMode::kLogical, GraphKind::kW,
+                 FlushPolicy::kNativeAtomic,
                  RedoTestKind::kRsiGeneralized, 1, true, 0});
   out.push_back({LoggingMode::kLogical, GraphKind::kRefined,
                  FlushPolicy::kIdentityWrites, RedoTestKind::kVsi, 1, true,

@@ -1,11 +1,12 @@
-// Crash-storm soak runner. Unlike the rest of the suite this binary owns
-// its main() so the iteration count is tunable:
+// Storm soak runner: the crash grid, the transactional (abort) matrix and
+// the failover chain, all driven by RunStorm. Unlike the rest of the
+// suite this binary owns its main() so the iteration count is tunable:
 //
 //   loglog_storm_test --storm-iters=N     (or env LOGLOG_STORM_ITERS=N)
 //
-// The short default (25 iterations x 12 configurations = 300 randomized
-// crash/fault injections) runs as the tier-1 `crash_storm_short` test;
-// `ctest -C soak` runs the long configuration.
+// The short default (25 iterations x 12 crash configurations = 300
+// randomized crash/fault injections) runs as the tier-1
+// `crash_storm_short` test; `ctest -C soak` runs the long configuration.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +15,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "sim/abort_storm.h"
-#include "sim/crash_storm.h"
-#include "sim/failover_storm.h"
+#include "sim/storm.h"
 
 namespace loglog {
 namespace {
@@ -83,7 +82,7 @@ constexpr StormConfig kConfigs[] = {
      RedoTestKind::kRsiGeneralized, 1005, /*redo_threads=*/1,
      ForcePolicy::kSizeThreshold},
     {"PhysiologicalIdentityWrites", LoggingMode::kPhysiological,
-     GraphKind::kW, FlushPolicy::kIdentityWrites, RedoTestKind::kVsi,
+     GraphKind::kRefined, FlushPolicy::kIdentityWrites, RedoTestKind::kVsi,
      1006, /*redo_threads=*/2},
     {"PhysiologicalFlushTransaction", LoggingMode::kPhysiological,
      GraphKind::kRefined, FlushPolicy::kFlushTransaction,
@@ -96,7 +95,7 @@ constexpr StormConfig kConfigs[] = {
      FlushPolicy::kIdentityWrites, RedoTestKind::kRsiGeneralized, 1009,
      /*redo_threads=*/4, ForcePolicy::kGroup, /*adaptive=*/true,
      /*budget=*/32},
-    {"AdaptiveNoBudget", LoggingMode::kLogical, GraphKind::kW,
+    {"AdaptiveNoBudget", LoggingMode::kLogical, GraphKind::kRefined,
      FlushPolicy::kIdentityWrites, RedoTestKind::kRsiFixpoint, 1010,
      /*redo_threads=*/2, ForcePolicy::kImmediate, /*adaptive=*/true,
      /*budget=*/0},
@@ -120,7 +119,7 @@ class CrashStormTest : public testing::TestWithParam<StormConfig> {};
 
 TEST_P(CrashStormTest, SurvivesTheStorm) {
   const StormConfig& cfg = GetParam();
-  CrashStormOptions options;
+  StormOptions options;
   options.engine.logging_mode = cfg.logging;
   options.engine.graph_kind = cfg.graph;
   options.engine.flush_policy = cfg.flush;
@@ -145,8 +144,8 @@ TEST_P(CrashStormTest, SurvivesTheStorm) {
   options.iterations = g_storm_iters;
   options.blackbox_on_failure = StormArtifactPath(cfg.name);
 
-  CrashStormStats stats;
-  Status st = RunCrashStorm(options, &stats);
+  StormStats stats;
+  Status st = RunStorm(options, &stats);
   ASSERT_TRUE(st.ok()) << st.ToString() << "\n  " << stats.ToString();
   SCOPED_TRACE(stats.ToString());
   std::printf("[ STORM    ] %s: %s\n", cfg.name, stats.ToString().c_str());
@@ -180,12 +179,16 @@ struct AbortStormConfig {
   int explicit_abort_percent;
   int rollback_crash_percent;
   int commit_torn_percent;
+  /// Share of iterations that end in failover instead of a crash.
+  int failover_percent = 0;
+  StorageBackend backend = StorageBackend::kDualWrite;
 };
 
 // The (interleaving, injected-abort, crash-point) matrix: each axis gets
 // a config that leans on it hard, plus one with everything at once. Every
-// iteration of every config ends in a crash, a recovery, the
-// repeat-history verification and the committed-only serial oracle.
+// iteration of every config ends in a crash (or a failover) and its
+// recovery, then the repeat-history verification and the committed-only
+// serial oracle.
 constexpr AbortStormConfig kAbortConfigs[] = {
     // Aborts and rollbacks but no crash faults: compensation itself.
     {"CleanAborts", 3001, 3, 60, 40, 0, 0},
@@ -198,20 +201,32 @@ constexpr AbortStormConfig kAbortConfigs[] = {
     {"WideInterleave", 3004, 8, 30, 25, 25, 15},
     // Everything at once.
     {"FullStorm", 3005, 6, 60, 25, 50, 35},
+    // Some iterations fail over instead of crashing: the burst ships to a
+    // backup-seeded standby which promotes with transactions in flight
+    // and rolls them back as losers; both oracles follow the chain.
+    {"FailoverTxns", 3006, 4, 40, 25, 35, 20, /*failover_percent=*/30},
+    // Log-as-database under transactions: both oracles compare through
+    // the engine's read path instead of the stable store.
+    {"LogStoreTxns", 3007, 4, 60, 25, 35, 20, /*failover_percent=*/0,
+     StorageBackend::kLogStore},
 };
 
 class AbortStormTest : public testing::TestWithParam<AbortStormConfig> {};
 
 TEST_P(AbortStormTest, EquivalentToSerialOracle) {
   const AbortStormConfig& cfg = GetParam();
-  AbortStormOptions options;
-  // The storm requires native-atomic installation (see AbortStormOptions).
+  StormOptions options;
+  // Transactional bursts require native-atomic installation (see
+  // StormOptions::max_txns).
   options.engine.flush_policy = FlushPolicy::kNativeAtomic;
   // Purge aggressively so installs land inside transactional bursts.
   options.engine.purge_threshold_ops = 12;
+  options.engine.backend = cfg.backend;
   options.seed = cfg.seed;
   options.iterations = g_storm_iters;
+  options.checkpoint_every = 5;
   options.max_txns = cfg.max_txns;
+  options.failover_percent = cfg.failover_percent;
   options.abort_inject_percent = cfg.abort_inject_percent;
   options.explicit_abort_percent = cfg.explicit_abort_percent;
   options.rollback_crash_percent = cfg.rollback_crash_percent;
@@ -219,8 +234,8 @@ TEST_P(AbortStormTest, EquivalentToSerialOracle) {
   options.blackbox_on_failure =
       StormArtifactPath(std::string("abort-") + cfg.name);
 
-  AbortStormStats stats;
-  Status st = RunAbortStorm(options, &stats);
+  StormStats stats;
+  Status st = RunStorm(options, &stats);
   ASSERT_TRUE(st.ok()) << st.ToString() << "\n  " << stats.ToString();
   std::printf("[ STORM    ] Abort/%s: %s\n", cfg.name,
               stats.ToString().c_str());
@@ -228,8 +243,8 @@ TEST_P(AbortStormTest, EquivalentToSerialOracle) {
   // Both verifications ran after every recovery.
   EXPECT_EQ(stats.verify_passes, stats.iterations);
   EXPECT_EQ(stats.oracle_passes, stats.iterations);
-  EXPECT_GE(stats.crashes, stats.iterations);
-  EXPECT_GE(stats.recoveries, stats.iterations);
+  EXPECT_GE(stats.crashes + stats.failovers, stats.iterations);
+  EXPECT_GE(stats.recoveries + stats.failovers, stats.iterations);
   EXPECT_GT(stats.txns_begun, 0u);
   if (g_storm_iters >= 10) {
     // At scale the mix must actually bite: commits, rollbacks, and
@@ -244,9 +259,8 @@ TEST_P(AbortStormTest, EquivalentToSerialOracle) {
     if (cfg.commit_torn_percent >= 100) {
       EXPECT_GT(stats.torn_commits, 0u);
     }
-    if (options.standby_audit_every > 0 &&
-        g_storm_iters >= options.standby_audit_every) {
-      EXPECT_GT(stats.standby_audits, 0u);
+    if (cfg.failover_percent > 0) {
+      EXPECT_GT(stats.failovers, 0u);
     }
   }
 }
@@ -261,7 +275,11 @@ INSTANTIATE_TEST_SUITE_P(Storm, AbortStormTest,
 // with randomized channel faults, scaled from the same iteration knob
 // (every ~5 storm iterations buys one full failover round).
 TEST(FailoverStormTest, SurvivesFailoverRounds) {
-  FailoverStormOptions options;
+  StormOptions options;
+  options.failover_percent = 100;
+  options.min_ops = 48;
+  options.max_ops = 160;
+  options.checkpoint_every = 2;
   options.engine.purge_threshold_ops = 12;
   // Install records would interleave with the shipped stream mid-burst;
   // the standby handles them, but keeping the primary's log purely
@@ -270,18 +288,18 @@ TEST(FailoverStormTest, SurvivesFailoverRounds) {
   options.standby.redo_threads = 2;
   options.standby.parallel_apply_threshold = 24;
   options.seed = 2026;
-  options.rounds = std::clamp(g_storm_iters / 5, 2, 64);
+  options.iterations = std::clamp(g_storm_iters / 5, 2, 64);
   options.blackbox_on_failure = StormArtifactPath("failover");
 
-  FailoverStormStats stats;
-  Status st = RunFailoverStorm(options, &stats);
+  StormStats stats;
+  Status st = RunStorm(options, &stats);
   ASSERT_TRUE(st.ok()) << st.ToString() << "\n  " << stats.ToString();
   std::printf("[ STORM    ] Failover: %s\n", stats.ToString().c_str());
-  EXPECT_EQ(stats.rounds, static_cast<uint64_t>(options.rounds));
-  EXPECT_EQ(stats.promotions, stats.rounds);
-  EXPECT_EQ(stats.reseeds, stats.rounds);
-  EXPECT_EQ(stats.audits_passed, stats.rounds);
-  EXPECT_EQ(stats.channel_faults_armed, stats.rounds);
+  EXPECT_EQ(stats.iterations, static_cast<uint64_t>(options.iterations));
+  EXPECT_EQ(stats.failovers, stats.iterations);
+  EXPECT_EQ(stats.crashes, 0u);
+  EXPECT_EQ(stats.verify_passes, stats.iterations);
+  EXPECT_EQ(stats.channel_faults_armed, stats.iterations);
   EXPECT_GT(stats.rto_us_max, 0u);
 }
 

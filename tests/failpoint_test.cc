@@ -73,6 +73,39 @@ INSTANTIATE_TEST_SUITE_P(
                  : "AfterFirstWrite";
     });
 
+// A flush transaction cut short after its first in-place write leaves
+// one flushed object (B) newer on the stable store than an operation
+// that read it. Recovery rebuilds the other flushed object (A) in the
+// cache from its older stable version, voids the replay of that reader,
+// and only then reaches the flush and completes A on the stable store.
+// The completed version must replace the rebuilt one in the cache, or
+// the next flush writes the older version back over it.
+TEST(FailPointTest, CompletedFlushSupersedesRebuiltCacheVersion) {
+  constexpr ObjectId kB = 1;  // written first by the flush transaction
+  constexpr ObjectId kA = 2;
+  EngineOptions opts;
+  opts.flush_policy = FlushPolicy::kFlushTransaction;
+  opts.purge_threshold_ops = 0;  // manual
+  CrashHarness harness(opts, 80);
+  ASSERT_TRUE(harness.Execute(MakeCreate(kB, "b")).ok());
+  ASSERT_TRUE(harness.Execute(MakeCreate(kA, "a")).ok());
+  ASSERT_TRUE(harness.engine().FlushAll().ok());
+  ASSERT_TRUE(harness.Execute(MakeAppend(kA, "-1")).ok());
+  ASSERT_TRUE(harness.Execute(MakeXorMerge(kB, {kB, kA})).ok());
+  ASSERT_TRUE(harness.Execute(MakeCopy(kA, kB)).ok());
+  ASSERT_TRUE(harness.Execute(MakeAppend(kB, "-2")).ok());
+
+  harness.disk().fault_injector().Arm(fault::kCmAfterFirstFlushTxnWrite,
+                                      FaultSpec::CrashOnce());
+  ASSERT_TRUE(harness.engine().FlushAll().IsAborted());
+  harness.Crash();
+  RecoveryStats stats;
+  ASSERT_TRUE(harness.Recover(&stats).ok());
+  EXPECT_EQ(stats.flush_txns_completed, 1u);
+  Status st = harness.VerifyAgainstReference();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+}
+
 // Crash after the WAL force but before any flush: pure redo territory.
 TEST(FailPointTest, CrashAfterWalForceRedoesEverything) {
   EngineOptions opts;

@@ -5,7 +5,7 @@
 #include "ops/function_registry.h"
 #include "ops/op_builder.h"
 #include "sim/crash_harness.h"
-#include "sim/reference_executor.h"
+#include "sim/recoverability_oracle.h"
 #include "sim/workload.h"
 
 namespace loglog {
@@ -106,10 +106,11 @@ TEST(FaultRecoveryTest, BitFlipDetectedAndRepairedFromBackup) {
   ObjectId victim = corrupt[0];
 
   // Ground truth for the victim from the reference replay.
-  ReferenceExecutor ref;
-  ASSERT_TRUE(ref.ReplayLog(harness.disk().log().ArchiveContents()).ok());
-  ObjectValue expected;
-  ASSERT_TRUE(ref.Get(victim, &expected).ok());
+  RecoverabilityOracle ref;
+  ASSERT_TRUE(
+      ref.Advance(harness.disk().log().ArchiveContents(), kMaxLsn).ok());
+  ASSERT_TRUE(ref.expected().contains(victim));
+  const ObjectValue& expected = ref.expected().at(victim).value;
 
   // The damaged bytes would read back as a plausible value — provably
   // wrong, and nothing in the raw read says so. The checksum is what

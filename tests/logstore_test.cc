@@ -18,7 +18,7 @@
 #include "logstore/logstore_target.h"
 #include "obs/metrics.h"
 #include "ops/op_builder.h"
-#include "ship/divergence_audit.h"
+#include "sim/recoverability_oracle.h"
 #include "storage/disk_image.h"
 #include "storage/simulated_disk.h"
 #include "wal/log_cursor.h"
@@ -373,7 +373,7 @@ TEST(LogStoreTest, CrashAfterCompactionAuditsCleanly) {
 
   // The divergence auditor replays the whole archive (cold + hot) and
   // diffs the engine's read path — values, vSIs and the live id set.
-  DivergenceAuditor auditor;
+  RecoverabilityOracle auditor;
   ASSERT_TRUE(
       auditor.Advance(disk.log().ArchiveContents(), kMaxLsn - 1).ok());
   DivergenceReport report;
@@ -805,7 +805,7 @@ TEST(LogStoreTest, DeltaIndexCheckpointsSurviveACrashAtEveryRecord) {
     ASSERT_TRUE(recovered.Recover().ok());
     // Install redone deletes too: the audit also checks the index's ids.
     ASSERT_TRUE(recovered.FlushAll().ok());
-    DivergenceAuditor auditor;
+    RecoverabilityOracle auditor;
     ASSERT_TRUE(
         auditor.Advance(crashed.log().ArchiveContents(), kMaxLsn - 1).ok());
     DivergenceReport report;

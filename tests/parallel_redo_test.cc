@@ -104,6 +104,12 @@ TEST_P(ParallelRedoMatrixTest, ParallelMatchesSerialExactly) {
     serial_opts.adaptive.decision_cooldown_writes = 4;
     serial_opts.recovery_budget = p.budget;
   }
+  if (p.graph == GraphKind::kW && p.flush == FlushPolicy::kIdentityWrites) {
+    // The engine rejects this pair instead of silently running it as
+    // kNativeAtomic (which the matrix covers on its own).
+    ASSERT_TRUE(serial_opts.Validate().IsInvalidArgument());
+    return;
+  }
   EngineOptions parallel_opts = serial_opts;
   parallel_opts.recovery.redo_threads = 4;
 
@@ -218,6 +224,9 @@ std::vector<MatrixParam> BuildMatrix() {
   }
   out.push_back({LoggingMode::kLogical, GraphKind::kW,
                  FlushPolicy::kIdentityWrites,
+                 RedoTestKind::kRsiGeneralized, 1, true, 32});
+  out.push_back({LoggingMode::kLogical, GraphKind::kW,
+                 FlushPolicy::kNativeAtomic,
                  RedoTestKind::kRsiGeneralized, 1, true, 32});
   out.push_back({LoggingMode::kLogical, GraphKind::kRefined,
                  FlushPolicy::kIdentityWrites, RedoTestKind::kVsi, 1, true,

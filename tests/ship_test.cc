@@ -6,13 +6,15 @@
 #include "backup/backup_manager.h"
 #include "common/coding.h"
 #include "engine/recovery_engine.h"
+#include "engine/txn_manager.h"
 #include "ops/op_builder.h"
-#include "ship/divergence_audit.h"
 #include "ship/log_shipper.h"
 #include "ship/replication_channel.h"
 #include "ship/ship_frame.h"
+#include "wal/log_record.h"
 #include "ship/standby_applier.h"
-#include "sim/failover_storm.h"
+#include "sim/recoverability_oracle.h"
+#include "sim/storm.h"
 #include "sim/workload.h"
 #include "storage/disk_image.h"
 #include "storage/simulated_disk.h"
@@ -359,9 +361,11 @@ TEST(ShipTest, ChannelFaultsConverge) {
 // (d) Failover promotion mid-storm: repeated primary-crash -> promote ->
 // audit -> re-seed rounds, with parallel redo on the standby.
 TEST(ShipTest, FailoverStormPromotesAndAudits) {
-  FailoverStormOptions options;
+  StormOptions options;
   options.seed = 11;
-  options.rounds = 3;
+  options.iterations = 3;
+  options.failover_percent = 100;
+  options.checkpoint_every = 2;
   options.min_ops = 32;
   options.max_ops = 96;
   options.standby.redo_threads = 2;
@@ -370,13 +374,13 @@ TEST(ShipTest, FailoverStormPromotesAndAudits) {
   // stay contiguous (parallel bursts).
   options.engine.log_installs = false;
 
-  FailoverStormStats stats;
-  Status st = RunFailoverStorm(options, &stats);
+  StormStats stats;
+  Status st = RunStorm(options, &stats);
   ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(stats.rounds, 3u);
-  EXPECT_EQ(stats.promotions, 3u);
-  EXPECT_EQ(stats.reseeds, 3u);
-  EXPECT_EQ(stats.audits_passed, 3u);
+  EXPECT_EQ(stats.iterations, 3u);
+  EXPECT_EQ(stats.failovers, 3u);
+  EXPECT_EQ(stats.crashes, 0u);
+  EXPECT_EQ(stats.verify_passes, 3u);
   EXPECT_GT(stats.ops_executed, 0u);
   EXPECT_GT(stats.rto_us_max, 0u);
 }
@@ -413,6 +417,42 @@ TEST(ShipTest, PromotedStandbyServesWrites) {
   // A second promotion attempt must refuse.
   PromotionResult again;
   EXPECT_TRUE(standby.Promote(opts, &again).IsFailedPrecondition());
+}
+
+// A transaction in flight at failover is rolled back by the promoted
+// node's recovery. When the shipped stream ends in control records the
+// standby never appends (installs), the compensation records must still
+// get LSNs past the promoted watermark, never the dead primary's.
+TEST(ShipTest, PromotedLoserRollbackNeverReissuesPrimaryLsns) {
+  EngineOptions opts;
+  opts.flush_policy = FlushPolicy::kNativeAtomic;
+  PrimaryNode primary(opts, /*seed=*/47);
+  ReplicationChannel channel;
+  StandbyApplier standby(&channel);
+  LogShipper shipper(&primary.disk->log(), &channel);
+  TxnManager tm(primary.engine.get());
+  TxnId id;
+  ASSERT_TRUE(tm.Begin(&id).ok());
+  ASSERT_TRUE(tm.Execute(id, MakeCreate(600, "loser")).ok());
+  ASSERT_TRUE(tm.Execute(id, MakeAppend(600, "-more")).ok());
+  primary.Quiesce();  // trailing install records, the txn still open
+  DrainPipeline(&shipper, &standby, &channel);
+
+  primary.engine.reset();
+  PromotionResult promo;
+  ASSERT_TRUE(standby.Promote(opts, &promo).ok());
+  EXPECT_EQ(promo.recovery.loser_txns, 1u);
+  EXPECT_FALSE(promo.engine->Exists(600));
+  ASSERT_TRUE(promo.engine->log().ForceAll().ok());
+  Slice archive = promo.disk->log().ArchiveContents();
+  int clrs = 0;
+  LogRecord rec;
+  while (ReadFramedRecord(&archive, &rec).ok()) {
+    if (rec.type != RecordType::kCompensation) continue;
+    ++clrs;
+    EXPECT_GT(rec.lsn, promo.applied_lsn);
+  }
+  EXPECT_GT(clrs, 0);
 }
 
 // Adaptive primary: the shipped stream mixes W_L, promoted W_P/W_PL and

@@ -30,6 +30,32 @@ TEST(LogRecordTest, OperationRoundTrip) {
   EXPECT_TRUE(s.empty());
 }
 
+TEST(LogRecordTest, ReusedRecordDropsStaleTxnTrailer) {
+  // Log cursors decode every record into one LogRecord; a
+  // non-transactional operation after a transactional one must not
+  // inherit its txn id, backchain or before-images.
+  LogRecord txn_op = OpRecord(5, MakePhysicalWrite(1, "a"));
+  txn_op.txn_id = 9;
+  txn_op.prev_lsn = 4;
+  txn_op.undo_images = {UndoImage{true, ObjectValue{'z'}}};
+  LogRecord plain = OpRecord(6, MakePhysicalWrite(2, "b"));
+  std::vector<uint8_t> buf;
+  txn_op.EncodeTo(&buf);
+  std::vector<uint8_t> buf2;
+  plain.EncodeTo(&buf2);
+
+  LogRecord out;
+  Slice s(buf);
+  ASSERT_TRUE(LogRecord::DecodeFrom(&s, &out).ok());
+  EXPECT_EQ(out.txn_id, 9u);
+  Slice s2(buf2);
+  ASSERT_TRUE(LogRecord::DecodeFrom(&s2, &out).ok());
+  EXPECT_EQ(out.lsn, 6u);
+  EXPECT_EQ(out.txn_id, 0u);
+  EXPECT_EQ(out.prev_lsn, kInvalidLsn);
+  EXPECT_TRUE(out.undo_images.empty());
+}
+
 TEST(LogRecordTest, CheckpointRoundTrip) {
   LogRecord rec;
   rec.type = RecordType::kCheckpoint;
