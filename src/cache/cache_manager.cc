@@ -59,13 +59,13 @@ CacheManager::CacheManager(SimulatedDisk* disk, LogManager* log,
 
 Status CacheManager::GetValue(ObjectId id, ObjectValue* out,
                               int io_budget) {
-  const ObjectValue* value = nullptr;
-  LOGLOG_RETURN_IF_ERROR(PeekValue(id, &value, io_budget));
-  *out = *value;
+  const CachedObject* obj = nullptr;
+  LOGLOG_RETURN_IF_ERROR(PeekValue(id, &obj, io_budget));
+  *out = obj->value();
   return Status::OK();
 }
 
-Status CacheManager::PeekValue(ObjectId id, const ObjectValue** out,
+Status CacheManager::PeekValue(ObjectId id, const CachedObject** out,
                                int io_budget) {
   CachedObject* obj = table_.Find(id);
   if (obj == nullptr) {
@@ -75,7 +75,7 @@ Status CacheManager::PeekValue(ObjectId id, const ObjectValue** out,
   } else {
     table_.Touch(obj);
   }
-  *out = &obj->value;
+  *out = obj;
   return Status::OK();
 }
 
@@ -89,7 +89,7 @@ Status CacheManager::FaultIn(ObjectId id, int io_budget, CachedObject** out) {
   StoredObject stored;
   LOGLOG_RETURN_IF_ERROR(target_->Load(id, io_budget, &stored));
   CachedObject& obj = table_.GetOrCreate(id);
-  obj.value = std::move(stored.value);
+  obj.SetValue(std::move(stored.value));
   obj.vsi = stored.vsi;
   obj.rsi = kInvalidLsn;
   obj.exists = true;
@@ -114,7 +114,7 @@ void CacheManager::AdoptCompletedFlush(ObjectId id, Slice value, Lsn vsi,
                                        bool exists) {
   CachedObject* obj = table_.Find(id);
   if (obj == nullptr || obj->vsi >= vsi) return;
-  obj->value = exists ? value.ToBytes() : ObjectValue{};
+  obj->SetValue(exists ? value.ToBytes() : ObjectValue{});
   obj->vsi = vsi;
   obj->exists = exists;
 }
@@ -133,10 +133,10 @@ Status CacheManager::ApplyResults(const OperationDesc& op, Lsn lsn,
   for (size_t i = 0; i < op.writes.size(); ++i) {
     CachedObject& obj = table_.GetOrCreate(op.writes[i]);
     if (op.op_class == OpClass::kDelete) {
-      obj.value.clear();
+      obj.SetValue({});
       obj.exists = false;
     } else {
-      obj.value = std::move(new_values[i]);
+      obj.SetValue(std::move(new_values[i]));
       obj.exists = true;
     }
     obj.vsi = lsn;
@@ -176,7 +176,7 @@ ObjectId CacheManager::LargestVarsObject(NodeId v) const {
   size_t best_size = 0;
   for (ObjectId x : node->vars) {
     const CachedObject* obj = table_.Find(x);
-    size_t size = obj == nullptr ? 0 : obj->value.size();
+    size_t size = obj == nullptr ? 0 : obj->value().size();
     if (best == kInvalidObjectId || size > best_size) {
       best = x;
       best_size = size;
@@ -211,13 +211,13 @@ Lsn CacheManager::LogIdentityWrite(ObjectId id, CachedObject* obj) {
   // like an identity value write would.
   LogRecord rec;
   rec.type = RecordType::kOperation;
-  rec.op = obj->exists ? MakeIdentityWrite(id, Slice(obj->value))
+  rec.op = obj->exists ? MakeIdentityWrite(id, Slice(obj->value()))
                        : MakeDelete(id);
   Lsn lsn = log_->Append(std::move(rec));
   ++stats_.identity_writes;
-  stats_.identity_bytes_logged += obj->value.size();
+  stats_.identity_bytes_logged += obj->value().size();
   metrics_.identity_writes->Inc();
-  metrics_.identity_bytes->Inc(obj->value.size());
+  metrics_.identity_bytes->Inc(obj->value().size());
   // W_IP records (and re-deletes) are full images.
   obj->vsi = lsn;
   obj->last_full_image = true;
@@ -354,7 +354,7 @@ Status CacheManager::InstallNode(NodeId v) {
     const CachedObject* obj = table_.Find(x);
     if (obj == nullptr) return Status::Corruption("vars object not cached");
     writes.push_back(
-        ObjectWrite{x, Slice(obj->value), obj->vsi, !obj->exists});
+        ObjectWrite{x, Slice(obj->value()), obj->vsi, !obj->exists});
   }
   LOGLOG_RETURN_IF_ERROR(target_->InstallSet(writes, &stats_));
 
@@ -422,7 +422,7 @@ Status CacheManager::FlushAll() {
     if (!target_->Installable(*obj)) LogIdentityWrite(id, obj);
     LOGLOG_RETURN_IF_ERROR(log_->Force(obj->vsi));
     LOGLOG_RETURN_IF_ERROR(target_->WriteBack(
-        ObjectWrite{id, Slice(obj->value), obj->vsi, !obj->exists}));
+        ObjectWrite{id, Slice(obj->value()), obj->vsi, !obj->exists}));
     table_.SetDirty(obj, false);
     obj->rsi = kInvalidLsn;
     Cool(id, obj);

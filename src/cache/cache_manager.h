@@ -71,12 +71,13 @@ class CacheManager {
   /// default; the rollback path passes kRollbackIoRetries).
   Status GetValue(ObjectId id, ObjectValue* out,
                   int io_budget = kMaxIoRetries);
-  /// GetValue without the copy: points `*out` at the cached value, after
-  /// the same fault-in and Touch. The pointer stays valid until the
-  /// object is evicted, installed as a delete or rewritten — by
-  /// ApplyResults, EvictTo, PurgeOne, FlushAll, EnforceRecoveryBudget or
-  /// Checkpoint; fault-ins and Touches of other objects leave it valid.
-  Status PeekValue(ObjectId id, const ObjectValue** out,
+  /// GetValue without the copy: points `*out` at the cached entry (its
+  /// value and version stamp), after the same fault-in and Touch. The
+  /// pointer stays valid until the object is evicted, installed as a
+  /// delete or rewritten — by ApplyResults, EvictTo, PurgeOne, FlushAll,
+  /// EnforceRecoveryBudget or Checkpoint; fault-ins and Touches of other
+  /// objects leave it valid.
+  Status PeekValue(ObjectId id, const CachedObject** out,
                    int io_budget = kMaxIoRetries);
 
   /// Whether the object currently exists (cached tombstones considered).

@@ -1,6 +1,14 @@
 #include "cache/object_table.h"
 
+#include <atomic>
+
 namespace loglog {
+
+void CachedObject::SetValue(ObjectValue value) {
+  static std::atomic<uint64_t> last_stamp{0};
+  value_ = std::move(value);
+  stamp_ = last_stamp.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 CachedObject* ObjectTable::Find(ObjectId id) {
   auto it = objects_.find(id);

@@ -19,7 +19,16 @@ namespace loglog {
 /// The object table generalizes ARIES's dirty pages table to arbitrary
 /// objects (Section 3 "we abstract that to an object table").
 struct CachedObject {
-  ObjectValue value;
+  /// The cached bytes. Only SetValue replaces them.
+  const ObjectValue& value() const { return value_; }
+  /// Replaces the cached bytes and gives them a fresh version stamp.
+  void SetValue(ObjectValue value);
+  /// Version stamp of the cached bytes, from a process-wide counter that
+  /// never repeats (0 means never set). It changes exactly when SetValue
+  /// runs, so two reads that see the same stamp see the same bytes at the
+  /// same address; flushes, installs and Touches leave it alone.
+  uint64_t stamp() const { return stamp_; }
+
   /// lSI of the last operation that wrote the cached version.
   Lsn vsi = kInvalidLsn;
   /// lSI of the earliest operation whose redo is needed to rebuild the
@@ -45,6 +54,8 @@ struct CachedObject {
  private:
   friend class ObjectTable;
   static constexpr size_t kClean = SIZE_MAX;
+  ObjectValue value_;
+  uint64_t stamp_ = 0;
   ObjectId id_ = kInvalidObjectId;
   /// Position in ObjectTable::dirty_, or kClean.
   size_t dirty_slot_ = kClean;

@@ -1,5 +1,9 @@
 #include "domains/btree/btree_page.h"
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+
 #include "common/coding.h"
 
 namespace loglog {
@@ -53,7 +57,8 @@ void AppendBytes(ObjectValue* out, const uint8_t* begin, const uint8_t* end) {
 }  // namespace
 
 Status BtreePage::Walk(Slice bytes, uint64_t key, BtreePage* out,
-                       PageSearch* hit) {
+                       PageSearch* hit, PageIndex* index) {
+  if (index != nullptr) index->searchable_ = false;
   if (bytes.empty()) return Status::Corruption("empty page");
   const uint8_t* const base = bytes.data();
   const uint8_t* const limit = base + bytes.size();
@@ -86,6 +91,21 @@ Status BtreePage::Walk(Slice bytes, uint64_t key, BtreePage* out,
   bool descending = hit != nullptr && !page.is_leaf_;
   if (hit != nullptr) *hit = PageSearch();
   ObjectId child = page.link_;
+  // The index records entries in page order and notes whether their keys
+  // ever descend.
+  uint64_t* keys = nullptr;
+  uint32_t* offsets = nullptr;
+  uint64_t* seconds = nullptr;
+  if (index != nullptr) {
+    index->keys_.resize(page.count_);
+    index->offsets_.resize(page.count_);
+    index->seconds_.resize(page.count_);
+    keys = index->keys_.data();
+    offsets = index->offsets_.data();
+    seconds = index->seconds_.data();
+  }
+  bool sorted = true;
+  uint64_t prev_key = 0;
   for (uint64_t i = 0; i < page.count_; ++i) {
     const uint8_t* const entry = p;
     uint64_t k = 0;
@@ -95,6 +115,13 @@ Status BtreePage::Walk(Slice bytes, uint64_t key, BtreePage* out,
       return BadVarint();
     }
     const uint8_t* const value = p;
+    if (keys != nullptr) {
+      keys[i] = k;
+      offsets[i] = static_cast<uint32_t>(entry - base);
+      seconds[i] = second;
+      sorted &= k >= prev_key;
+      prev_key = k;
+    }
     if (page.is_leaf_) {
       if (second > static_cast<uint64_t>(limit - p)) {
         return Status::Corruption("truncated length-prefixed value");
@@ -120,17 +147,96 @@ Status BtreePage::Walk(Slice bytes, uint64_t key, BtreePage* out,
     if (!placed) hit->begin = hit->end = bytes.size();
     if (!page.is_leaf_) hit->child = child;
   }
+  if (index != nullptr) {
+    index->header_ = page;
+    // Offsets are 32-bit; a larger page is simply always walked.
+    index->searchable_ = sorted && bytes.size() <= UINT32_MAX;
+  }
   *out = page;
   return Status::OK();
 }
 
 Status BtreePage::Parse(Slice bytes, BtreePage* out) {
-  return Walk(bytes, 0, out, nullptr);
+  return Walk(bytes, 0, out, nullptr, nullptr);
 }
 
 Status BtreePage::Search(Slice bytes, uint64_t key, BtreePage* out,
                          PageSearch* hit) {
-  return Walk(bytes, key, out, hit);
+  return Walk(bytes, key, out, hit, nullptr);
+}
+
+Status PageIndex::Build(Slice bytes, uint64_t key, BtreePage* out,
+                        PageSearch* hit) {
+  return BtreePage::Walk(bytes, key, out, hit, this);
+}
+
+void PageIndex::Search(Slice bytes, uint64_t key, BtreePage* out,
+                       PageSearch* hit) const {
+  Lookup(bytes, key, out, hit);
+#ifdef LOGLOG_PAGE_INDEX_CROSSCHECK
+  BtreePage walked;
+  PageSearch walked_hit;
+  const Status st = BtreePage::Walk(
+      bytes, key, &walked, hit != nullptr ? &walked_hit : nullptr, nullptr);
+  auto same_slice = [](Slice a, Slice b) {
+    return a.data() == b.data() && a.size() == b.size();
+  };
+  bool same = st.ok() && same_slice(walked.bytes_, out->bytes_) &&
+              walked.is_leaf_ == out->is_leaf_ &&
+              walked.link_ == out->link_ && walked.count_ == out->count_ &&
+              walked.count_begin_ == out->count_begin_ &&
+              walked.count_end_ == out->count_end_ &&
+              walked.entries_begin_ == out->entries_begin_;
+  if (hit != nullptr) {
+    same = same && walked_hit.begin == hit->begin &&
+           walked_hit.found == hit->found && walked_hit.end == hit->end &&
+           same_slice(walked_hit.value, hit->value) &&
+           walked_hit.child == hit->child;
+  }
+  if (!same) {
+    std::fprintf(stderr,
+                 "PageIndex::Search disagrees with the page walk for key "
+                 "%llu on %s\n",
+                 static_cast<unsigned long long>(key),
+                 st.ok() ? walked.DebugString().c_str()
+                         : st.ToString().c_str());
+    std::abort();
+  }
+#endif
+}
+
+void PageIndex::Lookup(Slice bytes, uint64_t key, BtreePage* out,
+                       PageSearch* hit) const {
+  *out = header_;
+  out->bytes_ = bytes;
+  if (hit == nullptr) return;
+  *hit = PageSearch();
+  const auto first = keys_.begin();
+  const auto last = keys_.end();
+  // The walk places the key at the first entry >= it ...
+  const auto at = std::lower_bound(first, last, key);
+  const size_t i = static_cast<size_t>(at - first);
+  if (at == last) {
+    hit->begin = hit->end = bytes.size();
+  } else {
+    hit->begin = offsets_[i];
+    hit->found = *at == key;
+    hit->end = hit->begin;
+    if (hit->found) {
+      hit->end = i + 1 < keys_.size() ? offsets_[i + 1] : bytes.size();
+      if (header_.is_leaf_) {
+        hit->value = Slice(bytes.data() + hit->end - seconds_[i],
+                           static_cast<size_t>(seconds_[i]));
+      }
+    }
+  }
+  // ... and descends into the child of the last separator <= it.
+  if (!header_.is_leaf_) {
+    const auto above = hit->found ? std::upper_bound(at, last, key) : at;
+    hit->child = above == first
+                     ? header_.link_
+                     : seconds_[static_cast<size_t>(above - first) - 1];
+  }
 }
 
 bool BtreePage::Cursor::Next(PageEntry* e) {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/slice.h"
 #include "common/status.h"
@@ -52,6 +53,8 @@ struct PageSearch {
 /// is bounds-checked, and no bytes trail the last entry — and return
 /// Corruption otherwise. The static edits validate their input the same
 /// way and leave it untouched on error. A view borrows its bytes.
+class PageIndex;
+
 class BtreePage {
  public:
   /// Entry iterator in key order:
@@ -136,9 +139,12 @@ class BtreePage {
   static Status MergeLeaves(Slice left, Slice right, ObjectValue* out);
 
  private:
-  /// Parse and, when `hit` is non-null, Search for `key`.
+  friend class PageIndex;
+
+  /// Parse and, when `hit` is non-null, Search for `key`; when `index` is
+  /// non-null, also record every entry into it.
   static Status Walk(Slice bytes, uint64_t key, BtreePage* out,
-                     PageSearch* hit);
+                     PageSearch* hit, PageIndex* index);
 
   Slice bytes_;
   bool is_leaf_ = true;
@@ -147,6 +153,48 @@ class BtreePage {
   size_t count_begin_ = 0;  // byte range of the count varint
   size_t count_end_ = 0;
   size_t entries_begin_ = 0;
+};
+
+/// \brief The entries of one validated page version, kept so that later
+/// searches of the same bytes cost a binary search instead of a walk.
+///
+/// Build() is BtreePage::Search — the full validating walk, and the same
+/// answer — that also records each entry's key, byte offset and second
+/// field (child id or value length). Search() then answers any key for
+/// those same bytes with exactly the BtreePage and PageSearch the walk
+/// would return. Only pages whose keys are non-decreasing become
+/// searchable(): the walk does not check order, and on unsorted keys a
+/// binary search would not give the walk's answer. Whoever keeps an index
+/// must make sure the bytes have not changed since Build (Btree keys it
+/// by the cache's version stamp).
+///
+/// With LOGLOG_PAGE_INDEX_CROSSCHECK defined (sanitizer builds), every
+/// Search also runs the walk and aborts on any difference.
+class PageIndex {
+ public:
+  /// BtreePage::Search(bytes, key, out, hit), or Parse when `hit` is
+  /// null, recording the entries. On error the index is not searchable.
+  Status Build(Slice bytes, uint64_t key, BtreePage* out, PageSearch* hit);
+  /// The last Build succeeded on a page with non-decreasing keys.
+  bool searchable() const { return searchable_; }
+  /// Search (or Parse, when `hit` is null) of the bytes the index was
+  /// built from. Requires searchable().
+  void Search(Slice bytes, uint64_t key, BtreePage* out,
+              PageSearch* hit) const;
+
+ private:
+  friend class BtreePage;
+
+  void Lookup(Slice bytes, uint64_t key, BtreePage* out,
+              PageSearch* hit) const;
+
+  BtreePage header_;
+  bool searchable_ = false;
+  // Entry i: key, byte offset within the page, and child id (internal)
+  // or value length (leaf).
+  std::vector<uint64_t> keys_;
+  std::vector<uint32_t> offsets_;
+  std::vector<uint64_t> seconds_;
 };
 
 }  // namespace loglog

@@ -372,10 +372,11 @@ Status RecoveryEngine::Read(ObjectId id, ObjectValue* out) {
   return cache_->GetValue(id, out);
 }
 
-Status RecoveryEngine::ReadView(ObjectId id, Slice* out) {
-  const ObjectValue* value = nullptr;
-  LOGLOG_RETURN_IF_ERROR(cache_->PeekValue(id, &value));
-  *out = Slice(*value);
+Status RecoveryEngine::ReadView(ObjectId id, Slice* out, uint64_t* stamp) {
+  const CachedObject* obj = nullptr;
+  LOGLOG_RETURN_IF_ERROR(cache_->PeekValue(id, &obj));
+  *out = Slice(obj->value());
+  if (stamp != nullptr) *stamp = obj->stamp();
   return Status::OK();
 }
 

@@ -93,7 +93,17 @@ class RecoveryEngine {
   /// checkpoints and compaction), PurgeOne, FlushAll, Checkpoint,
   /// Compact, Recover, and TxnManager::Execute and Rollback. Read,
   /// ReadView and Exists — of this or any other object — leave it valid.
-  Status ReadView(ObjectId id, Slice* out);
+  ///
+  /// `stamp`, when non-null, receives the cached version's stamp
+  /// (CachedObject::stamp()): a process-wide counter value that is new
+  /// each time the cached bytes are replaced — at fault-in, at Execute,
+  /// at redo and when recovery adopts a completed flush. Two ReadViews
+  /// that return the same stamp returned the same bytes at the same
+  /// address, even across Execute calls that did not write the object;
+  /// a caller may cache what it derived from those bytes under the stamp.
+  /// Flushes, installs (identity writes included), checkpoints and reads
+  /// leave it unchanged; an eviction and re-fault gives a new one.
+  Status ReadView(ObjectId id, Slice* out, uint64_t* stamp = nullptr);
   bool Exists(ObjectId id);
 
   /// Installs one minimal write-graph node (explicit PurgeCache).

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "btree_page_oracle.h"
@@ -292,6 +293,142 @@ TEST_P(PageDiffTest, RootSplitMergeAndCollapseMatchReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PageDiffTest, testing::Values(1, 2, 3, 4));
+
+// The side index (PageIndex) against the walk: Build must answer like
+// BtreePage::Search, and every later indexed Search of the same bytes
+// must return the same page view and PageSearch as a fresh walk, for
+// keys below, between, on and above the entries.
+void ExpectSameView(const BtreePage& got, const BtreePage& want) {
+  EXPECT_EQ(got.bytes().data(), want.bytes().data());
+  EXPECT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.is_leaf(), want.is_leaf());
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.next_leaf(), want.next_leaf());
+  EXPECT_EQ(got.first_child(), want.first_child());
+  EXPECT_EQ(got.DebugString(), want.DebugString());
+}
+
+void ExpectSameHit(const PageSearch& got, const PageSearch& want,
+                   uint64_t key) {
+  EXPECT_EQ(got.begin, want.begin) << "key " << key;
+  EXPECT_EQ(got.found, want.found) << "key " << key;
+  EXPECT_EQ(got.end, want.end) << "key " << key;
+  EXPECT_EQ(got.value.data(), want.value.data()) << "key " << key;
+  EXPECT_EQ(got.value.size(), want.value.size()) << "key " << key;
+  EXPECT_EQ(got.child, want.child) << "key " << key;
+}
+
+// Builds an index of `bytes` and checks it against the walk; returns
+// whether the page became searchable.
+bool ExpectIndexMatchesWalk(const ObjectValue& bytes,
+                            const std::vector<uint64_t>& keys, Random* rng) {
+  std::vector<uint64_t> probes = {0, 1, ~uint64_t{0}, ~uint64_t{0} - 1,
+                                  RandomKey(rng)};
+  for (uint64_t k : keys) probes.insert(probes.end(), {k, k - 1, k + 1});
+  PageIndex index;
+  BtreePage built, walked;
+  PageSearch built_hit, walked_hit;
+  const uint64_t first = probes[rng->Uniform(probes.size())];
+  EXPECT_TRUE(index.Build(Slice(bytes), first, &built, &built_hit).ok());
+  EXPECT_TRUE(
+      BtreePage::Search(Slice(bytes), first, &walked, &walked_hit).ok());
+  ExpectSameView(built, walked);
+  ExpectSameHit(built_hit, walked_hit, first);
+  if (!index.searchable()) return false;
+  for (uint64_t k : probes) {
+    BtreePage page;
+    PageSearch hit;
+    index.Search(Slice(bytes), k, &page, &hit);
+    EXPECT_TRUE(BtreePage::Search(Slice(bytes), k, &walked, &walked_hit).ok());
+    ExpectSameView(page, walked);
+    ExpectSameHit(hit, walked_hit, k);
+    if (page.is_leaf()) {
+      EXPECT_EQ(page.SizeAfterLeafPut(hit, k, 70),
+                walked.SizeAfterLeafPut(walked_hit, k, 70))
+          << "key " << k;
+    }
+  }
+  // The Parse form: the view alone.
+  BtreePage parsed;
+  index.Search(Slice(bytes), 0, &parsed, nullptr);
+  EXPECT_TRUE(BtreePage::Parse(Slice(bytes), &walked).ok());
+  ExpectSameView(parsed, walked);
+  return true;
+}
+
+class PageIndexTest : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(PageIndexTest, IndexedSearchMatchesWalk) {
+  Random rng(GetParam() * 977 + 5);
+  for (int round = 0; round < 120; ++round) {
+    // Empty pages, small ones and counts past the one-byte count varint.
+    const size_t n = round % 10 == 0 ? 0 : rng.Range(1, 300);
+    ReferencePage ref =
+        rng.OneIn(2) ? RandomLeaf(&rng, n) : RandomInternal(&rng, n);
+    std::vector<uint64_t> keys = KeysOf(ref);
+    // Duplicate keys keep the page sorted: internal pages get them from
+    // InternalInsert, leaves by copying a neighbour's key.
+    if (!keys.empty() && rng.OneIn(3)) {
+      const size_t i = rng.Uniform(keys.size());
+      if (ref.is_leaf) {
+        ref.leaf_entries.insert(ref.leaf_entries.begin() + i,
+                                ref.leaf_entries[i]);
+      } else {
+        for (int d = 0; d < 3; ++d) ref.InternalInsert(keys[i], RandomKey(&rng));
+      }
+      keys = KeysOf(ref);
+    }
+    const ObjectValue bytes = ref.Serialize();
+    EXPECT_TRUE(ExpectIndexMatchesWalk(bytes, keys, &rng)) << "round " << round;
+    if (testing::Test::HasFailure()) return;
+  }
+}
+
+// The walk does not check order, so a page whose keys descend anywhere
+// must never be searched through the index — it is walked every time.
+TEST_P(PageIndexTest, UnsortedPagesAreNotIndexed) {
+  Random rng(GetParam() * 131 + 7);
+  for (int round = 0; round < 60; ++round) {
+    ReferencePage ref = rng.OneIn(2) ? RandomLeaf(&rng, rng.Range(2, 200))
+                                     : RandomInternal(&rng, rng.Range(2, 200));
+    // Swap two entries with different keys: one descent somewhere.
+    const size_t n = ref.EntryCount();
+    size_t i = rng.Uniform(n - 1);
+    size_t j = i + 1 + rng.Uniform(n - i - 1);
+    if (ref.is_leaf) {
+      if (ref.leaf_entries[i].key == ref.leaf_entries[j].key) continue;
+      std::swap(ref.leaf_entries[i], ref.leaf_entries[j]);
+    } else {
+      if (ref.internal_entries[i].key == ref.internal_entries[j].key) continue;
+      std::swap(ref.internal_entries[i], ref.internal_entries[j]);
+    }
+    EXPECT_FALSE(ExpectIndexMatchesWalk(ref.Serialize(), KeysOf(ref), &rng))
+        << "round " << round;
+    if (testing::Test::HasFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PageIndexTest, testing::Values(1, 2, 3, 4));
+
+TEST(PageIndexTest, CorruptPagesAreRejectedAndNotIndexed) {
+  PageIndex index;
+  BtreePage page;
+  PageSearch hit;
+  ObjectValue good = BtreePage::NewRoot(1, 10, 2);
+  ASSERT_TRUE(index.Build(Slice(good), 10, &page, &hit).ok());
+  EXPECT_TRUE(index.searchable());
+  EXPECT_EQ(hit.child, 2u);
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    const ObjectValue torn(good.begin(),
+                           good.begin() + static_cast<ptrdiff_t>(cut));
+    EXPECT_TRUE(index.Build(Slice(torn), 10, &page, &hit).IsCorruption());
+    EXPECT_FALSE(index.searchable());
+  }
+  ObjectValue trailing = good;
+  trailing.push_back(0);
+  EXPECT_TRUE(index.Build(Slice(trailing), 10, &page, &hit).IsCorruption());
+  EXPECT_FALSE(index.searchable());
+}
 
 TEST(BtreePageTest, DebugStringListsEntries) {
   ObjectValue leaf = BtreePage::EmptyLeaf();

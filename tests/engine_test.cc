@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "engine/recovery_engine.h"
+#include "ops/function_registry.h"
 #include "ops/op_builder.h"
 #include "storage/simulated_disk.h"
 
@@ -243,6 +245,131 @@ TEST_P(ReadViewTest, SameVictimsAndCountsAsRead) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ReadViewTest,
+                         testing::Values(StorageBackend::kDualWrite,
+                                         StorageBackend::kLogStore),
+                         [](const testing::TestParamInfo<StorageBackend>& i) {
+                           return i.param == StorageBackend::kDualWrite
+                                      ? std::string("DualWrite")
+                                      : std::string("LogStore");
+                         });
+
+// The version-stamp contract that lets a caller cache what it derived
+// from a ReadView: the stamp changes whenever the cached bytes are
+// replaced (fault-in, Execute, AdoptCompletedFlush, eviction + re-fault,
+// redo) and never otherwise — not on reads and Touches, flushes and
+// installs (W_IP identity-write installs included) or checkpoints.
+class StampTest : public testing::TestWithParam<StorageBackend> {};
+
+uint64_t StampOf(RecoveryEngine& engine, ObjectId id) {
+  Slice view;
+  uint64_t stamp = 0;
+  EXPECT_TRUE(engine.ReadView(id, &view, &stamp).ok()) << id;
+  return stamp;
+}
+
+// Writes both outputs from one input: a two-object atomic flush set that
+// kIdentityWrites must peel with a W_IP identity write.
+constexpr FuncId kFuncStampFanOut = kFuncFirstCustom + 201;
+
+void RegisterFanOut() {
+  FunctionRegistry::Global().Register(
+      kFuncStampFanOut,
+      [](const OperationDesc&, const std::vector<ObjectValue>& reads,
+         std::vector<ObjectValue>* writes) {
+        (*writes)[0] = reads[0];
+        (*writes)[1] = reads[0];
+        return Status::OK();
+      });
+}
+
+TEST_P(StampTest, ChangesExactlyWhenTheCachedBytesDo) {
+  RegisterFanOut();
+  EngineOptions options;
+  options.backend = GetParam();
+  options.purge_threshold_ops = 0;  // installs only where the test asks
+  SimulatedDisk disk;
+  auto engine = std::make_unique<RecoveryEngine>(options, &disk);
+  for (ObjectId id = 1; id <= 4; ++id) {
+    ASSERT_TRUE(engine->Execute(MakeCreate(id, "v" + std::to_string(id)))
+                    .ok());
+  }
+  const uint64_t s1 = StampOf(*engine, 1);
+  EXPECT_NE(s1, 0u);
+  EXPECT_NE(s1, StampOf(*engine, 2));
+
+  // Reads and Touches keep it.
+  ObjectValue copy;
+  ASSERT_TRUE(engine->Read(1, &copy).ok());
+  engine->cache().table().Touch(engine->cache().table().Find(1));
+  EXPECT_EQ(StampOf(*engine, 1), s1);
+
+  // Execute on the object changes it; on another object it does not.
+  ASSERT_TRUE(engine->Execute(MakeAppend(2, "+")).ok());
+  EXPECT_EQ(StampOf(*engine, 1), s1);
+  ASSERT_TRUE(engine->Execute(MakeAppend(1, "+")).ok());
+  const uint64_t s1_appended = StampOf(*engine, 1);
+  EXPECT_NE(s1_appended, s1);
+
+  // A two-output operation, then flush and install everything: W_IP
+  // identity writes (peeling the pair under dual-write, re-logging the
+  // delta-produced versions under the log store) leave every stamp.
+  OperationDesc fan;
+  fan.op_class = OpClass::kLogical;
+  fan.func = kFuncStampFanOut;
+  fan.reads = {1};
+  fan.writes = {3, 4};
+  ASSERT_TRUE(engine->Execute(fan).ok());
+  std::vector<uint64_t> before;
+  for (ObjectId id = 1; id <= 4; ++id) before.push_back(StampOf(*engine, id));
+  const uint64_t identity_before = engine->cache().stats().identity_writes;
+  ASSERT_TRUE(engine->PurgeOne().ok());
+  ASSERT_TRUE(engine->FlushAll().ok());
+  ASSERT_TRUE(engine->Checkpoint().ok());
+  EXPECT_GT(engine->cache().stats().identity_writes, identity_before);
+  for (ObjectId id = 1; id <= 4; ++id) {
+    EXPECT_EQ(StampOf(*engine, id), before[id - 1]) << id;
+  }
+
+  // AdoptCompletedFlush replaces an older cached version.
+  const Lsn vsi = engine->cache().CurrentVsi(2);
+  engine->cache().AdoptCompletedFlush(2, "adopted", vsi + 1000, true);
+  const uint64_t s2_adopted = StampOf(*engine, 2);
+  EXPECT_NE(s2_adopted, before[1]);
+  // ... but not a newer one.
+  engine->cache().AdoptCompletedFlush(2, "stale", vsi, true);
+  EXPECT_EQ(StampOf(*engine, 2), s2_adopted);
+  ASSERT_TRUE(engine->Execute(MakePhysicalWrite(2, "v2")).ok());
+  ASSERT_TRUE(engine->FlushAll().ok());
+
+  // Evict, then re-fault: same bytes, new stamp.
+  const uint64_t s3 = StampOf(*engine, 3);
+  engine->cache().EvictTo(0);
+  ASSERT_EQ(engine->cache().table().Find(3), nullptr);
+  const uint64_t s3_refaulted = StampOf(*engine, 3);
+  EXPECT_NE(s3_refaulted, s3);
+  EXPECT_EQ(StampOf(*engine, 3), s3_refaulted);
+
+  // Redo: operations logged but never installed are replayed through
+  // the cache after a crash, and each replayed version gets a stamp
+  // newer than any handed out before the crash (the counter never
+  // repeats or goes back).
+  ASSERT_TRUE(engine->Execute(MakeAppend(4, "!")).ok());
+  ASSERT_TRUE(engine->log().ForceAll().ok());
+  const uint64_t s4_before_crash = StampOf(*engine, 4);
+  engine.reset();
+  engine = std::make_unique<RecoveryEngine>(options, &disk);
+  RecoveryStats stats;
+  ASSERT_TRUE(engine->Recover(&stats).ok());
+  EXPECT_GT(stats.ops_redone, 0u);
+  const uint64_t s4_redone = StampOf(*engine, 4);
+  EXPECT_GT(s4_redone, s4_before_crash);
+  EXPECT_EQ(StampOf(*engine, 4), s4_redone);
+  ObjectValue v4;
+  ASSERT_TRUE(engine->Read(4, &v4).ok());
+  EXPECT_EQ(Slice(v4).ToString(), "v1+!");
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, StampTest,
                          testing::Values(StorageBackend::kDualWrite,
                                          StorageBackend::kLogStore),
                          [](const testing::TestParamInfo<StorageBackend>& i) {

@@ -14,7 +14,7 @@ TEST(ObjectTableTest, FindGetOrCreateErase) {
   ObjectTable table;
   EXPECT_EQ(table.Find(1), nullptr);
   CachedObject& obj = table.GetOrCreate(1);
-  obj.value = {1, 2, 3};
+  obj.SetValue({1, 2, 3});
   obj.vsi = 7;
   ASSERT_NE(table.Find(1), nullptr);
   EXPECT_EQ(table.Find(1)->vsi, 7u);
